@@ -20,7 +20,7 @@
 #include "scenario/experiment.hpp"
 #include "sweep/distributed.hpp"
 #include "sweep/sweep.hpp"
-#include "topo/generators.hpp"
+#include "volumetric_example_grid.hpp"
 
 using namespace attain;
 
@@ -52,20 +52,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // A small fat-tree and a small leaf-spine, POX only, all three volumetric
-  // kinds plus the no-attack baseline per topology. The 128-entry table cap
-  // is what makes the overflow cells draw ALL_TABLES_FULL errors.
-  const std::vector<scenario::RunSpec> grid =
-      scenario::GridBuilder()
-          .volumetric(scenario::VolumetricKind::PacketInFlood)
-          .volumetric(scenario::VolumetricKind::TableOverflow)
-          .volumetric(scenario::VolumetricKind::SlowRate)
-          .controllers({scenario::ControllerKind::Pox})
-          .topology(topo::TopologySpec::fat_tree(4))
-          .topology(topo::TopologySpec::leaf_spine(2, 4, 4))
-          .flood(/*flows=*/128, /*duration=*/5 * kSecond, /*batch=*/250 * kMillisecond)
-          .table_capacity(128)
-          .build();
+  const std::vector<scenario::RunSpec> grid = examples::volumetric_example_grid();
 
   sweep::SweepReport report;
   if (distributed) {
