@@ -1,15 +1,16 @@
 // The batched message pipeline's acceptance harness, in three parts, all on
 // the fat-tree(4) PACKET_IN-flood cell's workload shape:
 //
-//  1. Ingress pipeline (gate: >= 2x) — the per-switch volumetric hot path
-//     this PR batches end to end: flood generator -> switch ingest
-//     (match_batch) -> template-stamped PACKET_IN encode -> control-pipe
-//     delivery, timed with batching forced off (the exact pre-batching
-//     scalar pipeline: per-packet frame encode, per-packet table probe,
-//     full visitor encode, one scheduler event per message) and on
-//     (FrameStamper bursts, batch matching, stamped emission, coalesced
-//     delivery). Event counts must agree exactly (the count_extra_events
-//     contract) and so must the delivered message count.
+//  1. Ingress pipeline (gate: >= 2x) — the per-switch volumetric hot path,
+//     batched end to end: flood generator -> switch ingest (match_batch)
+//     -> template-stamped PACKET_IN encode -> control-pipe delivery. The
+//     reference is the per-packet path production keeps for the data
+//     plane: make_tcp per frame, OpenFlowSwitch::on_packet per packet
+//     (frame encode, one table probe), into a pipe with no batch receiver
+//     (one scheduler event per message). The batched leg uses FrameStamper
+//     bursts, on_packet_batch and coalesced delivery. Event counts must
+//     agree exactly (the count_extra_events contract) and so must the
+//     delivered message count.
 //
 //  2. Per-message flood encode (gate: >= 5x) — producing the i-th flood
 //     PACKET_IN wire: build spoofed frame + pkt::encode + PacketIn +
@@ -17,12 +18,9 @@
 //     sampled differential pass re-checks stamped bytes == full-codec
 //     bytes outside the timed loops.
 //
-//  3. The whole BM_VolumetricCell-shaped cell (gate: byte-identical result
-//     JSON, timings recorded) — scenario::run() with batching off vs on.
-//     The whole-cell wall clock includes the controller's response path
-//     and the data-plane delivery events the batch pipeline deliberately
-//     leaves untouched, so its speedup (~1.3-1.4x) is recorded for
-//     inspection rather than gated; docs/perf.md discusses the split.
+//  3. The whole BM_VolumetricCell-shaped cell (timing recorded, not
+//     gated) — one scenario::run(). Its result bytes are pinned by the
+//     golden corpus (tests/golden/pipeline_cell.json).
 //
 // `--json <path>` writes a bench_json.hpp wrapper document whose
 // *_seconds metrics feed the tools/bench_baseline.py regression gate
@@ -40,7 +38,6 @@
 #include "packet/codec.hpp"
 #include "packet/stamp.hpp"
 #include "scenario/run.hpp"
-#include "sim/batching.hpp"
 #include "sim/link.hpp"
 #include "swsim/switch.hpp"
 #include "topo/generators.hpp"
@@ -106,7 +103,7 @@ struct SwitchHarness {
 };
 
 // ---------------------------------------------------------------------------
-// Part 1: the ingress pipeline, scalar vs batched.
+// Part 1: the ingress pipeline, per-packet vs batched.
 // ---------------------------------------------------------------------------
 
 struct IngressRun {
@@ -116,16 +113,18 @@ struct IngressRun {
 };
 
 IngressRun run_ingress(bool batching, std::size_t packets, std::size_t burst) {
-  const sim::BatchingOverride guard(batching);
   SwitchHarness h;
   // The testbed's control-pipe shape (1 Gbps, 150 us): sub-125-byte frames
   // serialize in under a microsecond, so same-instant sends share a
   // delivery instant — the coalescing regime.
   sim::Pipe<chan::Envelope> pipe(h.sched, sim::PipeConfig{1'000'000'000, 150, 0});
   IngressRun run;
-  pipe.set_receiver([&](chan::Envelope) { ++run.delivered; });
-  pipe.set_batch_receiver(
-      [&](sim::PayloadBatch<chan::Envelope> items) { run.delivered += items.size(); });
+  if (batching) {
+    pipe.set_batch_receiver(
+        [&](sim::PayloadBatch<chan::Envelope> items) { run.delivered += items.size(); });
+  } else {
+    pipe.set_receiver([&](chan::Envelope) { ++run.delivered; });
+  }
   h.sw->set_control_sender([&pipe](chan::Envelope e) {
     const std::size_t bytes = e.wire().size();
     pipe.send(std::move(e), bytes);
@@ -135,8 +134,7 @@ IngressRun run_ingress(bool batching, std::size_t packets, std::size_t burst) {
   const std::size_t bursts = packets / burst;
   for (std::size_t b = 0; b < bursts; ++b) {
     h.sched.at(static_cast<SimTime>(b) * 100, [&, b] {
-      if (batching && stamper.can_stamp_src_mac() && stamper.can_stamp_src_ip() &&
-          stamper.can_stamp_src_port()) {
+      if (batching) {
         swsim::PacketBatch batch;
         batch.port = 3;
         batch.packets.reserve(burst);
@@ -253,7 +251,7 @@ EncodeTiming time_flood_encode(std::size_t instances) {
 }
 
 // ---------------------------------------------------------------------------
-// Part 3: the whole BM_VolumetricCell-shaped cell, batching off vs on.
+// Part 3: the whole BM_VolumetricCell-shaped cell.
 // ---------------------------------------------------------------------------
 
 scenario::RunSpec flood_cell() {
@@ -275,8 +273,7 @@ struct CellTiming {
   std::string json;
 };
 
-CellTiming time_cell(const scenario::RunSpec& spec, bool batching) {
-  const sim::BatchingOverride guard(batching);
+CellTiming time_cell(const scenario::RunSpec& spec) {
   const auto start = std::chrono::steady_clock::now();
   const scenario::RunResultPtr result = scenario::run(spec);
   CellTiming timing;
@@ -309,10 +306,10 @@ int main(int argc, char** argv) {
                                      : 0.0;
   const bool ingress_identical = ingress_scalar.delivered == ingress_batched.delivered &&
                                  ingress_scalar.events == ingress_batched.events;
-  std::printf("  scalar : %.3f s, %zu delivered, %llu events\n", ingress_scalar.seconds,
+  std::printf("  per-packet: %.3f s, %zu delivered, %llu events\n", ingress_scalar.seconds,
               ingress_scalar.delivered,
               static_cast<unsigned long long>(ingress_scalar.events));
-  std::printf("  batched: %.3f s, %zu delivered, %llu events\n", ingress_batched.seconds,
+  std::printf("  batched   : %.3f s, %zu delivered, %llu events\n", ingress_batched.seconds,
               ingress_batched.delivered,
               static_cast<unsigned long long>(ingress_batched.events));
   std::printf("  speedup: %.2fx (gate: >= 2x); counters %s\n", ingress_speedup,
@@ -331,14 +328,8 @@ int main(int argc, char** argv) {
   const scenario::RunSpec spec = flood_cell();
   std::printf("\nwhole cell (%s, %u flows, %.0f s flood):\n", spec.id().c_str(),
               spec.flood_flows, static_cast<double>(spec.flood_duration) / kSecond);
-  const CellTiming cell_scalar = time_cell(spec, /*batching=*/false);
-  const CellTiming cell_batched = time_cell(spec, /*batching=*/true);
-  const bool cell_identical = cell_scalar.json == cell_batched.json;
-  const double cell_speedup =
-      cell_batched.seconds > 0.0 ? cell_scalar.seconds / cell_batched.seconds : 0.0;
-  std::printf("  scalar %.3f s, batched %.3f s (%.2fx, recorded not gated)\n",
-              cell_scalar.seconds, cell_batched.seconds, cell_speedup);
-  std::printf("  result JSON bit-identical: %s\n", cell_identical ? "yes" : "NO — BUG");
+  const CellTiming cell_batched = time_cell(spec);
+  std::printf("  %.3f s (recorded, not gated)\n", cell_batched.seconds);
 
   if (const std::string path = bench::json_out_path(argc, argv); !path.empty()) {
     const bench::Metrics metrics = {
@@ -346,11 +337,9 @@ int main(int argc, char** argv) {
         {"ingress_batched_seconds", ingress_batched.seconds},
         {"encode_full_seconds", encode.full_seconds},
         {"encode_stamped_seconds", encode.stamped_seconds},
-        {"cell_scalar_seconds", cell_scalar.seconds},
         {"cell_batched_seconds", cell_batched.seconds},
         {"ingress_speedup", ingress_speedup},
         {"encode_speedup", encode_speedup},
-        {"cell_speedup", cell_speedup},
     };
     if (!bench::write_bench_json(path, "batch_pipeline", "fat_tree4_packet_in_flood",
                                  cell_batched.json, metrics)) {
@@ -375,10 +364,6 @@ int main(int argc, char** argv) {
   }
   if (encode_speedup < 5.0) {
     std::fprintf(stderr, "FAIL: encode speedup %.2fx below the 5x gate\n", encode_speedup);
-    pass = false;
-  }
-  if (!cell_identical) {
-    std::fprintf(stderr, "FAIL: batched cell JSON differs from scalar\n");
     pass = false;
   }
   std::printf("\n%s\n", pass ? "PASS" : "FAIL");

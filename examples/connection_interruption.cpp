@@ -24,10 +24,12 @@ int main() {
   for (const ControllerKind kind :
        {ControllerKind::Floodlight, ControllerKind::Pox, ControllerKind::Ryu}) {
     for (const bool secure : {false, true}) {
-      InterruptionConfig config;
-      config.controller = kind;
-      config.s2_fail_secure = secure;
-      const InterruptionResult r = run_connection_interruption(config);
+      RunSpec spec;
+      spec.experiment = ExperimentKind::ConnectionInterruption;
+      spec.controller = kind;
+      spec.options.fail_secure = secure;
+      const RunResultPtr result = run(spec);
+      const auto& r = dynamic_cast<const InterruptionResult&>(*result);
       results.push_back(r);
       std::printf("%s / %-11s : attack %s sigma3\n", to_string(kind).c_str(),
                   secure ? "fail-secure" : "fail-safe",

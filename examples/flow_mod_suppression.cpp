@@ -19,13 +19,15 @@ int main() {
   for (const ControllerKind kind :
        {ControllerKind::Floodlight, ControllerKind::Pox, ControllerKind::Ryu}) {
     for (const bool attack : {false, true}) {
-      SuppressionConfig config;
-      config.controller = kind;
-      config.attack_enabled = attack;
-      config.ping_trials = 10;
-      config.iperf_trials = 2;
-      config.iperf_duration = 2 * kSecond;
-      const SuppressionResult r = run_flow_mod_suppression(config);
+      RunSpec spec;
+      spec.experiment = ExperimentKind::FlowModSuppression;
+      spec.controller = kind;
+      spec.attack_enabled = attack;
+      spec.ping_trials = 10;
+      spec.iperf_trials = 2;
+      spec.iperf_duration = 2 * kSecond;
+      const RunResultPtr result = run(spec);
+      const auto& r = dynamic_cast<const SuppressionResult&>(*result);
       table.add_row({to_string(kind), attack ? "attack" : "baseline",
                      monitor::TextTable::num_or_star(r.mean_throughput_mbps()),
                      monitor::TextTable::num_or_star(r.mean_latency_ms(), 3),

@@ -70,21 +70,9 @@ Channel::Channel(sim::Scheduler& sched, ChannelConfig config)
       controller_to_proxy_(sched, config_.segment),
       proxy_to_controller_(sched, config_.segment),
       trace_(config_.trace_capacity) {
-  switch_to_proxy_.set_receiver([this](Envelope e) {
-    arrive_at_proxy(Direction::SwitchToController, std::move(e));
-  });
-  controller_to_proxy_.set_receiver([this](Envelope e) {
-    arrive_at_proxy(Direction::ControllerToSwitch, std::move(e));
-  });
-  proxy_to_switch_.set_receiver([this](Envelope e) {
-    deliver(Direction::ControllerToSwitch, std::move(e));
-  });
-  proxy_to_controller_.set_receiver([this](Envelope e) {
-    deliver(Direction::SwitchToController, std::move(e));
-  });
-  // Opt all four hops into burst coalescing (sim/batching.hpp gates it at
-  // run time). Flood-shaped traffic — many sends sharing a zero-serialize
-  // delivery instant — then crosses each hop as one event per burst.
+  // All four hops deliver in bursts: flood-shaped traffic — many sends
+  // sharing a zero-serialize delivery instant — crosses each hop as one
+  // event per burst, and a lone frame is a burst of one.
   switch_to_proxy_.set_batch_receiver([this](EnvelopeBatch batch) {
     arrive_at_proxy_batch(Direction::SwitchToController, std::move(batch));
   });
@@ -132,22 +120,6 @@ void Channel::add_stage(std::unique_ptr<Stage> stage) {
   next_sinks_.push_back(std::move(sinks));
 }
 
-void Channel::arrive_at_proxy(Direction direction, Envelope envelope) {
-  DirectionCounters& counters = dir_counters(direction);
-  if (config_.tls && !envelope.sealed()) envelope.seal();
-  if (!envelope.sealed()) {
-    // The byte pipeline decoded every readable frame here; a cached view
-    // makes that a no-op, a raw-wire frame decodes exactly once.
-    if (envelope.has_message()) {
-      ++counters.codec_ops_saved;
-    } else if (envelope.message() == nullptr && envelope.has_wire()) {
-      ++counters.decode_errors;
-    }
-  }
-  if (sim::batching_enabled() && try_run_fast(direction, envelope)) return;
-  run_stage(0, direction, std::move(envelope));
-}
-
 BatchShape Channel::shape_of(Direction direction, const Envelope& envelope) {
   BatchShape shape;
   shape.direction = direction;
@@ -156,16 +128,6 @@ BatchShape Channel::shape_of(Direction direction, const Envelope& envelope) {
     if (const ofp::Message* message = envelope.message()) shape.type = message->type();
   }
   return shape;
-}
-
-bool Channel::try_run_fast(Direction direction, Envelope& envelope) {
-  if (stages_.empty()) return false;
-  const BatchShape shape = shape_of(direction, envelope);
-  for (const std::unique_ptr<Stage>& stage : stages_) {
-    if (!stage->plan_fast(*this, shape)) return false;
-  }
-  run_fast(direction, std::move(envelope));
-  return true;
 }
 
 void Channel::run_fast(Direction direction, Envelope envelope) {
@@ -183,15 +145,13 @@ void Channel::arrive_at_proxy_batch(Direction direction, EnvelopeBatch batch) {
     Envelope& envelope = item.payload;
     if (config_.tls && !envelope.sealed()) envelope.seal();
     if (!envelope.sealed()) {
+      // The byte pipeline decoded every readable frame here; a cached view
+      // makes that a no-op, a raw-wire frame decodes exactly once.
       if (envelope.has_message()) {
         ++counters.codec_ops_saved;
       } else if (envelope.message() == nullptr && envelope.has_wire()) {
         ++counters.decode_errors;
       }
-    }
-    if (stages_.empty() || !sim::batching_enabled()) {
-      run_stage(0, direction, std::move(envelope));
-      continue;
     }
     const BatchShape shape = shape_of(direction, envelope);
     if (!plan_shape || !(shape == *plan_shape)) {

@@ -117,9 +117,9 @@ class Stage {
   /// `shape`, this stage's on_envelope() is exactly equivalent to
   /// on_envelope_fast() — same counters, same monitor effects, same
   /// forwarding — with no event scheduling. The channel queries all stages
-  /// once per batch (or once per frame on the scalar ingress) and falls
-  /// back to on_envelope() whenever any stage declines, so the default is
-  /// safely "no fast path".
+  /// once per run of same-shaped frames in a batch and falls back to
+  /// on_envelope() whenever any stage declines, so the default is safely
+  /// "no fast path".
   virtual bool plan_fast(Channel& channel, const BatchShape& shape) {
     (void)channel;
     (void)shape;
@@ -200,18 +200,14 @@ class Channel {
   std::string to_json() const;
 
  private:
-  void arrive_at_proxy(Direction direction, Envelope envelope);
-  /// Batch ingress: per-envelope preamble identical to arrive_at_proxy(),
-  /// with one stage plan per run of same-shaped envelopes instead of one
-  /// dispatch chain per frame. Any shape change or declined plan falls back
-  /// to the scalar stage chain for that envelope (and forces a replan,
-  /// since scalar stage work may change injector state).
+  /// Proxy-point ingress (the only one): per envelope, TLS sealing and
+  /// codec accounting, then one stage plan per run of same-shaped envelopes
+  /// instead of one dispatch chain per frame. A declined plan runs the
+  /// per-envelope stage chain for that envelope (and forces a replan, since
+  /// stage work may change injector state).
   void arrive_at_proxy_batch(Direction direction, EnvelopeBatch batch);
   void deliver_batch(Direction direction, EnvelopeBatch batch);
   static BatchShape shape_of(Direction direction, const Envelope& envelope);
-  /// Scalar fast path: plan + run the fast hooks for one frame; returns
-  /// false (envelope untouched) if any stage declines.
-  bool try_run_fast(Direction direction, Envelope& envelope);
   void run_fast(Direction direction, Envelope envelope);
   void run_stage(std::size_t index, Direction direction, Envelope envelope);
   void deliver(Direction direction, Envelope envelope);

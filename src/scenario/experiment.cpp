@@ -9,7 +9,6 @@
 #include "common/arena.hpp"
 #include "packet/codec.hpp"
 #include "packet/stamp.hpp"
-#include "sim/batching.hpp"
 #include "topo/generators.hpp"
 
 namespace attain::scenario {
@@ -166,18 +165,6 @@ void Testbed::arm_attack_at(SimTime when, const lang::Attack& attack,
 // ---------------------------------------------------------------------------
 // Experiment 1: flow modification suppression.
 // ---------------------------------------------------------------------------
-
-RunSpec to_run_spec(const SuppressionConfig& config) {
-  RunSpec spec;
-  spec.experiment = ExperimentKind::FlowModSuppression;
-  spec.controller = config.controller;
-  spec.attack_enabled = config.attack_enabled;
-  spec.ping_trials = config.ping_trials;
-  spec.iperf_trials = config.iperf_trials;
-  spec.iperf_duration = config.iperf_duration;
-  spec.iperf_gap = config.iperf_gap;
-  return spec;
-}
 
 std::optional<double> SuppressionResult::mean_throughput_mbps() const {
   if (iperf_mbps.empty()) return std::nullopt;
@@ -350,23 +337,9 @@ class SuppressionWarmup final : public WarmupPhase {
 
 }  // namespace
 
-SuppressionResult run_flow_mod_suppression(const SuppressionConfig& config) {
-  RunResultPtr result = run(to_run_spec(config));
-  return std::move(static_cast<SuppressionResult&>(*result));
-}
-
 // ---------------------------------------------------------------------------
 // Experiment 2: connection interruption.
 // ---------------------------------------------------------------------------
-
-RunSpec to_run_spec(const InterruptionConfig& config) {
-  RunSpec spec;
-  spec.experiment = ExperimentKind::ConnectionInterruption;
-  spec.controller = config.controller;
-  spec.attack_enabled = true;
-  spec.options.fail_secure = config.s2_fail_secure;
-  return spec;
-}
 
 std::vector<std::string> InterruptionResult::row_header() const {
   return {"controller",   "s2 fail mode",  "ext->ext t30", "int->ext t30",
@@ -483,11 +456,6 @@ class InterruptionWarmup final : public WarmupPhase {
 };
 
 }  // namespace
-
-InterruptionResult run_connection_interruption(const InterruptionConfig& config) {
-  RunResultPtr result = run(to_run_spec(config));
-  return std::move(static_cast<InterruptionResult&>(*result));
-}
 
 // ---------------------------------------------------------------------------
 // Experiment 3: volumetric control-plane workloads.
@@ -668,34 +636,18 @@ class VolumetricWarmup final : public WarmupPhase {
         sched.at(start + static_cast<SimTime>(b) * batch_gap,
                  [this, name = sources[s].sw, port = sources[s].port, base, lo, hi, victim_mac,
                   victim_ip] {
-                   swsim::OpenFlowSwitch& sw = bed_->switch_named(name);
-                   if (sim::batching_enabled() &&
-                       emit_flood_batch(sw, port, base, lo, hi, victim_mac, victim_ip)) {
-                     return;
-                   }
-                   for (std::uint64_t f = lo; f < hi; ++f) {
-                     pkt::TcpHeader tcp;
-                     tcp.src_port = static_cast<std::uint16_t>(40000 + (f & 0x3fff));
-                     tcp.dst_port = 80;
-                     tcp.flags = pkt::kTcpSyn;
-                     pkt::Packet p = pkt::make_tcp(
-                         pkt::MacAddress::from_u64(0x0aad00000000ULL | (base + f)), victim_mac,
-                         pkt::Ipv4Address{static_cast<std::uint32_t>(0xc0000000u + base + f)},
-                         victim_ip, tcp, /*payload_size=*/0, /*tag=*/0);
-                     sw.on_packet(port, std::move(p));
-                     ++injected_;
-                   }
+                   emit_flood_batch(bed_->switch_named(name), port, base, lo, hi, victim_mac,
+                                    victim_ip);
                  });
       }
     }
   }
 
-  /// Batched flood emission: one PacketBatch per (source, interval) event,
-  /// frames produced by a template stamper (memcpy + src MAC/IP/port patch,
-  /// bytes validated identical to the scalar make_tcp + pkt::encode path).
-  /// Returns false — caller falls back to the scalar loop — if any flood-
-  /// varying field turned out unstampable on this prototype.
-  bool emit_flood_batch(swsim::OpenFlowSwitch& sw, std::uint16_t port, std::uint64_t base,
+  /// Flood emission: one PacketBatch per (source, interval) event, frames
+  /// produced by a template stamper (memcpy + src MAC/IP/port patch, bytes
+  /// validated identical to make_tcp + pkt::encode). The prototype is a
+  /// fixed TCP SYN, whose flood-varying fields always stamp.
+  void emit_flood_batch(swsim::OpenFlowSwitch& sw, std::uint16_t port, std::uint64_t base,
                         std::uint64_t lo, std::uint64_t hi, pkt::MacAddress victim_mac,
                         pkt::Ipv4Address victim_ip) {
     if (!flood_stamper_) {
@@ -709,7 +661,7 @@ class VolumetricWarmup final : public WarmupPhase {
     }
     pkt::FrameStamper& st = *flood_stamper_;
     if (!st.can_stamp_src_mac() || !st.can_stamp_src_ip() || !st.can_stamp_src_port()) {
-      return false;
+      throw std::logic_error("volumetric flood: TCP SYN prototype is not stampable");
     }
     swsim::PacketBatch batch;
     batch.port = port;
@@ -724,7 +676,6 @@ class VolumetricWarmup final : public WarmupPhase {
       ++injected_;
     }
     sw.on_packet_batch(std::move(batch));
-    return true;
   }
 
   RunSpec rep_;
@@ -801,8 +752,58 @@ void save_common(const RunResult& r, ByteWriter& w) {
   w.u64(r.programs_executed);
 }
 
+// Element counts and enum bytes are checked before use: a corrupt record
+// (a journal is a trust boundary) must throw DecodeError, not reserve
+// gigabytes or load a value to_json() cannot render.
+std::uint32_t load_count(ByteReader& r, std::size_t min_element_bytes) {
+  const std::uint32_t count = r.u32();
+  if (count > r.remaining() / min_element_bytes) {
+    throw DecodeError("load_result: element count " + std::to_string(count) +
+                      " exceeds the record");
+  }
+  return count;
+}
+
+ControllerKind load_controller(ByteReader& r) {
+  const std::uint8_t byte = r.u8();
+  for (const ControllerKind kind : all_controller_kinds()) {
+    if (static_cast<std::uint8_t>(kind) == byte) return kind;
+  }
+  throw DecodeError("load_result: unregistered controller " + std::to_string(byte));
+}
+
+VolumetricKind load_volumetric(ByteReader& r) {
+  const std::uint8_t byte = r.u8();
+  if (byte > static_cast<std::uint8_t>(VolumetricKind::SlowRate)) {
+    throw DecodeError("load_result: unknown volumetric kind " + std::to_string(byte));
+  }
+  return static_cast<VolumetricKind>(byte);
+}
+
+void save_trials(ByteWriter& w, const mem::vector<dpl::PingTrial>& trials) {
+  w.u32(static_cast<std::uint32_t>(trials.size()));
+  for (const dpl::PingTrial& trial : trials) {
+    w.u16(trial.seq);
+    w.u64(static_cast<std::uint64_t>(trial.sent_at));
+    w.u8(trial.rtt.has_value() ? 1 : 0);
+    if (trial.rtt) w.u64(static_cast<std::uint64_t>(*trial.rtt));
+  }
+}
+
+void load_trials(ByteReader& r, mem::vector<dpl::PingTrial>& trials) {
+  const std::uint32_t count = load_count(r, /*u16 seq + u64 sent_at + u8 flag*/ 11);
+  trials.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    dpl::PingTrial trial;
+    trial.seq = r.u16();
+    trial.sent_at = static_cast<SimTime>(r.u64());
+    if (r.u8() != 0) trial.rtt = static_cast<SimTime>(r.u64());
+    trials.push_back(trial);
+  }
+}
+
 void load_common(RunResult& r, ByteReader& rd) {
-  r.controller = static_cast<ControllerKind>(rd.u8());
+  r.controller = load_controller(rd);
   r.attack_enabled = rd.u8() != 0;
   const std::uint8_t opts = rd.u8();
   r.options.fail_secure = (opts & 1) != 0;
@@ -826,13 +827,7 @@ void save_result(const RunResult& result, ByteWriter& w) {
   if (const auto* s = dynamic_cast<const SuppressionResult*>(&result)) {
     w.u8(kSuppressionTag);
     save_common(result, w);
-    w.u32(static_cast<std::uint32_t>(s->ping.trials.size()));
-    for (const dpl::PingTrial& trial : s->ping.trials) {
-      w.u16(trial.seq);
-      w.u64(static_cast<std::uint64_t>(trial.sent_at));
-      w.u8(trial.rtt.has_value() ? 1 : 0);
-      if (trial.rtt) w.u64(static_cast<std::uint64_t>(*trial.rtt));
-    }
+    save_trials(w, s->ping.trials);
     w.u32(static_cast<std::uint32_t>(s->iperf_mbps.size()));
     for (const double v : s->iperf_mbps) save_f64(w, v);
     w.u64(s->packet_ins);
@@ -868,13 +863,7 @@ void save_result(const RunResult& result, ByteWriter& w) {
     w.u64(v->miss_drops);
     w.u64(v->table_entries_final);
     w.u64(v->table_entries_peak);
-    w.u32(static_cast<std::uint32_t>(v->probe.trials.size()));
-    for (const dpl::PingTrial& trial : v->probe.trials) {
-      w.u16(trial.seq);
-      w.u64(static_cast<std::uint64_t>(trial.sent_at));
-      w.u8(trial.rtt.has_value() ? 1 : 0);
-      if (trial.rtt) w.u64(static_cast<std::uint64_t>(*trial.rtt));
-    }
+    save_trials(w, v->probe.trials);
     return;
   }
   throw std::invalid_argument("save_result: unsupported result type: " + result.kind_name());
@@ -886,16 +875,8 @@ RunResultPtr load_result(ByteReader& r) {
     case kSuppressionTag: {
       auto s = std::make_unique<SuppressionResult>();
       load_common(*s, r);
-      const std::uint32_t trials = r.u32();
-      s->ping.trials.reserve(trials);
-      for (std::uint32_t i = 0; i < trials; ++i) {
-        dpl::PingTrial trial;
-        trial.seq = r.u16();
-        trial.sent_at = static_cast<SimTime>(r.u64());
-        if (r.u8() != 0) trial.rtt = static_cast<SimTime>(r.u64());
-        s->ping.trials.push_back(trial);
-      }
-      const std::uint32_t mbps = r.u32();
+      load_trials(r, s->ping.trials);
+      const std::uint32_t mbps = load_count(r, sizeof(std::uint64_t));
       s->iperf_mbps.reserve(mbps);
       for (std::uint32_t i = 0; i < mbps; ++i) s->iperf_mbps.push_back(load_f64(r));
       s->packet_ins = r.u64();
@@ -919,9 +900,8 @@ RunResultPtr load_result(ByteReader& r) {
     case kVolumetricTag: {
       auto v = std::make_unique<VolumetricResult>();
       load_common(*v, r);
-      v->volumetric = static_cast<VolumetricKind>(r.u8());
-      const std::uint32_t id_len = r.u32();
-      const Bytes id_bytes = r.raw(id_len);
+      v->volumetric = load_volumetric(r);
+      const auto id_bytes = r.view(load_count(r, 1));
       v->topology_id.assign(id_bytes.begin(), id_bytes.end());
       v->flood_packets_injected = r.u64();
       v->packet_ins = r.u64();
@@ -932,15 +912,7 @@ RunResultPtr load_result(ByteReader& r) {
       v->miss_drops = r.u64();
       v->table_entries_final = r.u64();
       v->table_entries_peak = r.u64();
-      const std::uint32_t trials = r.u32();
-      v->probe.trials.reserve(trials);
-      for (std::uint32_t i = 0; i < trials; ++i) {
-        dpl::PingTrial trial;
-        trial.seq = r.u16();
-        trial.sent_at = static_cast<SimTime>(r.u64());
-        if (r.u8() != 0) trial.rtt = static_cast<SimTime>(r.u64());
-        v->probe.trials.push_back(trial);
-      }
+      load_trials(r, v->probe.trials);
       return v;
     }
     default:

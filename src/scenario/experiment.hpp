@@ -2,9 +2,8 @@
 // switches, controller, injector proxy, monitors) from a system model, and
 // runs the paper's two case-study experiments with their §VII timing
 // scripts. Cells are described by scenario::RunSpec (scenario/run.hpp) and
-// executed — serially here or in parallel by sweep::SweepRunner — through
-// scenario::run(); the SuppressionConfig/InterruptionConfig entry points
-// below are thin compatibility wrappers over that API.
+// executed — serially or in parallel by sweep::SweepRunner — through
+// scenario::run(), which returns the result types declared below.
 #pragma once
 
 #include <map>
@@ -122,18 +121,6 @@ class Testbed {
 // Experiment 1 (§VII-B, Fig. 11): flow modification suppression.
 // ---------------------------------------------------------------------------
 
-/// Legacy cell description; to_run_spec() lifts it into the RunSpec API.
-struct SuppressionConfig {
-  ControllerKind controller{ControllerKind::Pox};
-  bool attack_enabled{true};
-  unsigned ping_trials{60};
-  unsigned iperf_trials{5};
-  SimTime iperf_duration{3 * kSecond};
-  SimTime iperf_gap{2 * kSecond};
-};
-
-RunSpec to_run_spec(const SuppressionConfig& config);
-
 class SuppressionResult : public RunResult {
  public:
   dpl::PingReport ping;
@@ -163,19 +150,9 @@ class SuppressionResult : public RunResult {
   void write_json_fields(JsonWriter& w) const override;
 };
 
-SuppressionResult run_flow_mod_suppression(const SuppressionConfig& config);
-
 // ---------------------------------------------------------------------------
 // Experiment 2 (§VII-C, Table II): connection interruption.
 // ---------------------------------------------------------------------------
-
-/// Legacy cell description; to_run_spec() lifts it into the RunSpec API.
-struct InterruptionConfig {
-  ControllerKind controller{ControllerKind::Pox};
-  bool s2_fail_secure{false};
-};
-
-RunSpec to_run_spec(const InterruptionConfig& config);
 
 class InterruptionResult : public RunResult {
  public:
@@ -197,8 +174,6 @@ class InterruptionResult : public RunResult {
  protected:
   void write_json_fields(JsonWriter& w) const override;
 };
-
-InterruptionResult run_connection_interruption(const InterruptionConfig& config);
 
 // ---------------------------------------------------------------------------
 // Experiment 3: volumetric control-plane workloads (PACKET_IN flood, flow-

@@ -1,23 +1,10 @@
 #include "scenario/run.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "attain/monitor/metrics.hpp"
 
 namespace attain::scenario {
-
-namespace {
-std::atomic<bool> g_extended_control_channel_json{false};
-}  // namespace
-
-void set_extended_control_channel_json(bool enabled) {
-  g_extended_control_channel_json.store(enabled, std::memory_order_relaxed);
-}
-
-bool extended_control_channel_json() {
-  return g_extended_control_channel_json.load(std::memory_order_relaxed);
-}
 
 std::string to_string(ExperimentKind kind) {
   switch (kind) {
@@ -141,7 +128,7 @@ void RunResult::write_json(JsonWriter& w) const {
   w.field("messages_interposed", messages_interposed);
   w.field("messages_suppressed", messages_suppressed);
   w.field("codec_ops_saved", codec_ops_saved);
-  if (options.extended_control_channel_json || extended_control_channel_json()) {
+  if (options.extended_control_channel_json) {
     w.field("rules_skipped_by_guard", rules_skipped_by_guard);
     w.field("programs_executed", programs_executed);
   }

@@ -50,10 +50,8 @@ enum class VolumetricKind {
 
 std::string to_string(VolumetricKind kind);
 
-/// Cross-cutting run options, replacing the former post-construction
-/// setters (set_extended_control_channel_json and friends). Carried by
-/// value on RunSpec and RunResult and round-tripped through to_json /
-/// save_result.
+/// Cross-cutting run options. Carried by value on RunSpec and RunResult and
+/// round-tripped through to_json / save_result.
 struct Options {
   /// Fail mode of the topology's chokepoint switch (s2 for the enterprise
   /// net — the Table II knob; the first core/spine for generated fabrics).
@@ -158,8 +156,7 @@ class RunResult {
 
   /// Rule-engine accounting (AttackExecutor stats; zero when no attack was
   /// armed). Deterministic, but emitted in JSON only when
-  /// options.extended_control_channel_json (or the legacy process-global
-  /// set_extended_control_channel_json(true)) — the default JSON stays
+  /// options.extended_control_channel_json — the default JSON stays
   /// byte-identical across releases (the sweep determinism contract).
   std::uint64_t rules_skipped_by_guard{0};
   std::uint64_t programs_executed{0};
@@ -188,12 +185,6 @@ class RunResult {
 /// spec.experiment; throws std::invalid_argument for a Custom spec without
 /// a runner. This is the function the sweep engine parallelizes over.
 RunResultPtr run(const RunSpec& spec);
-
-/// Legacy process-global variant of Options::extended_control_channel_json;
-/// prefer the per-spec option. Either source being true enables the extra
-/// counters at render time.
-void set_extended_control_channel_json(bool enabled);
-bool extended_control_channel_json();
 
 // ---------------------------------------------------------------------------
 // Grid construction. GridBuilder composes the axes (topology x controller x

@@ -15,7 +15,6 @@
 
 #include "common/arena.hpp"
 #include "common/types.hpp"
-#include "sim/batching.hpp"
 #include "sim/scheduler.hpp"
 
 namespace attain::sim {
@@ -68,9 +67,8 @@ class Pipe {
   /// delivery instant — with no event scheduled anywhere in between (see
   /// Scheduler::issue_seq) — are handed to `receiver` as one batch instead
   /// of one event each. Delivery order, per-payload stats, and
-  /// events_executed() accounting are preserved exactly; when
-  /// sim::batching_enabled() is off the pipe runs the scalar path even with
-  /// a batch receiver installed.
+  /// events_executed() accounting are preserved exactly. A pipe with a
+  /// batch receiver never calls its scalar receiver.
   void set_batch_receiver(BatchReceiver receiver) { batch_receiver_ = std::move(receiver); }
 
   const PipeStats& stats() const { return stats_; }
@@ -101,7 +99,7 @@ class Pipe {
     const SimTime start = std::max(sched_->now(), busy_until_);
     busy_until_ = start + serialize;
     const SimTime deliver_at = busy_until_ + config_.propagation_delay;
-    if (batch_receiver_ && batching_enabled()) {
+    if (batch_receiver_) {
       if (open_batch_ != kNoBatch && open_deliver_at_ == deliver_at &&
           sched_->issue_seq() == open_seq_) {
         // Nothing was scheduled since the last append, so no event can be

@@ -117,7 +117,11 @@ CampaignJournal CampaignJournal::resume(const std::string& path, std::uint64_t c
     try {
       ByteReader r(body);
       cell.index = r.u32();
-      cell.outcome.status = static_cast<CellStatus>(r.u8());
+      const std::uint8_t status_byte = r.u8();
+      if (status_byte > static_cast<std::uint8_t>(CellStatus::TimedOut)) {
+        throw DecodeError("CampaignJournal: unknown cell status " + std::to_string(status_byte));
+      }
+      cell.outcome.status = static_cast<CellStatus>(status_byte);
       cell.outcome.attempts = r.u32();
       cell.outcome.wall_seconds = std::bit_cast<double>(r.u64());
       const std::uint32_t err_len = r.u32();

@@ -15,9 +15,11 @@
 // The campaign digest (scenario::grid_digest) binds the journal to one
 // exact grid: resuming against a different grid throws instead of
 // silently completing the wrong campaign. A record whose frame is short,
-// whose trailing digest mismatches, or whose result digest mismatches
-// ends the load — everything before it is kept, the file is truncated to
-// the last intact record, and the affected cells simply re-run.
+// whose trailing digest mismatches, whose body does not decode (unknown
+// status, controller or volumetric byte, an element count larger than
+// the record) or whose result digest mismatches ends the load —
+// everything before it is kept, the file is truncated to the last intact
+// record, and the affected cells simply re-run.
 #pragma once
 
 #include <cstdint>

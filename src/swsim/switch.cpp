@@ -4,7 +4,6 @@
 
 #include "common/log.hpp"
 #include "packet/codec.hpp"
-#include "sim/batching.hpp"
 
 namespace attain::swsim {
 
@@ -336,9 +335,8 @@ void OpenFlowSwitch::on_packet(std::uint16_t port, pkt::Packet packet) {
 }
 
 void OpenFlowSwitch::on_packet_batch(PacketBatch batch) {
-  if (!sim::batching_enabled() || state_ != ChannelState::Connected) {
-    // Disconnected fail-mode handling (and the batching-off oracle) take
-    // the scalar path unchanged.
+  if (state_ != ChannelState::Connected) {
+    // Disconnected fail-mode handling takes the per-packet path unchanged.
     for (pkt::Packet& packet : batch.packets) on_packet(batch.port, std::move(packet));
     return;
   }
@@ -392,20 +390,18 @@ void OpenFlowSwitch::table_miss(const pkt::Packet& packet, const Bytes& frame,
   }
   ++counters_.packet_in_sent;
 
-  if (sim::batching_enabled() && send_control_) {
-    if (ofp::StampedTemplate* tmpl = miss_template(data_size)) {
-      // O(patched bytes) emission: memcpy the prototype wire and stamp the
-      // flood-varying fields — bytes validated identical to a full encode
-      // at template construction (and by the differential fuzz tests).
-      tmpl->set_xid(next_xid());
-      tmpl->set_buffer_id(buffer_id);
-      tmpl->set_in_port(in_port);
-      tmpl->set_total_len(static_cast<std::uint16_t>(frame.size()));
-      tmpl->set_data(std::span<const std::uint8_t>(frame.data(), data_size));
-      ++counters_.control_tx;
-      send_control_(chan::Envelope::from_parts(tmpl->emit_message(), tmpl->emit_wire()));
-      return;
-    }
+  if (ofp::StampedTemplate* tmpl = send_control_ ? miss_template(data_size) : nullptr) {
+    // O(patched bytes) emission: memcpy the prototype wire and stamp the
+    // flood-varying fields — bytes validated identical to a full encode at
+    // template construction (and by the differential fuzz tests).
+    tmpl->set_xid(next_xid());
+    tmpl->set_buffer_id(buffer_id);
+    tmpl->set_in_port(in_port);
+    tmpl->set_total_len(static_cast<std::uint16_t>(frame.size()));
+    tmpl->set_data(std::span<const std::uint8_t>(frame.data(), data_size));
+    ++counters_.control_tx;
+    send_control_(chan::Envelope::from_parts(tmpl->emit_message(), tmpl->emit_wire()));
+    return;
   }
 
   ofp::PacketIn pin;

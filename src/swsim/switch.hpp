@@ -102,9 +102,9 @@ class OpenFlowSwitch {
 
   /// Delivers a burst of data-plane frames arriving together on one port.
   /// Observationally identical to calling on_packet() once per frame in
-  /// order; when batching is enabled and the channel is Connected, the
-  /// flow-table lookups run through match_batch() (prefetched) and table
-  /// misses emit PACKET_INs through the stamped template.
+  /// order; while the channel is Connected the flow-table lookups run
+  /// through match_batch() (prefetched). Table misses on either path emit
+  /// PACKET_INs through the stamped template.
   void on_packet_batch(PacketBatch batch);
 
   /// Administratively raises/lowers a port (models link failure at this

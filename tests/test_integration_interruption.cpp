@@ -11,10 +11,12 @@ namespace attain::scenario {
 namespace {
 
 InterruptionResult run(ControllerKind kind, bool fail_secure) {
-  InterruptionConfig config;
-  config.controller = kind;
-  config.s2_fail_secure = fail_secure;
-  return run_connection_interruption(config);
+  RunSpec spec;
+  spec.experiment = ExperimentKind::ConnectionInterruption;
+  spec.controller = kind;
+  spec.options.fail_secure = fail_secure;
+  const RunResultPtr result = scenario::run(spec);
+  return dynamic_cast<const InterruptionResult&>(*result);
 }
 
 class InterruptionMatrix : public ::testing::TestWithParam<std::tuple<ControllerKind, bool>> {};

@@ -9,19 +9,21 @@
 namespace attain::scenario {
 namespace {
 
-SuppressionConfig quick_config(ControllerKind kind, bool attack) {
-  SuppressionConfig config;
-  config.controller = kind;
-  config.attack_enabled = attack;
-  config.ping_trials = 8;
-  config.iperf_trials = 1;
-  config.iperf_duration = 1 * kSecond;
-  config.iperf_gap = 1 * kSecond;
-  return config;
+SuppressionResult run_quick(ControllerKind kind, bool attack) {
+  RunSpec spec;
+  spec.experiment = ExperimentKind::FlowModSuppression;
+  spec.controller = kind;
+  spec.attack_enabled = attack;
+  spec.ping_trials = 8;
+  spec.iperf_trials = 1;
+  spec.iperf_duration = 1 * kSecond;
+  spec.iperf_gap = 1 * kSecond;
+  const RunResultPtr result = run(spec);
+  return dynamic_cast<const SuppressionResult&>(*result);
 }
 
 TEST(Suppression, PoxDeniedOfService) {
-  const SuppressionResult result = run_flow_mod_suppression(quick_config(ControllerKind::Pox, true));
+  const SuppressionResult result = run_quick(ControllerKind::Pox, true);
   // The paper's asterisk: zero throughput, infinite latency.
   EXPECT_EQ(result.ping.received(), 0u);
   EXPECT_FALSE(result.mean_latency_ms().has_value());
@@ -30,10 +32,8 @@ TEST(Suppression, PoxDeniedOfService) {
 }
 
 TEST(Suppression, FloodlightDegradedButAlive) {
-  const SuppressionResult attacked =
-      run_flow_mod_suppression(quick_config(ControllerKind::Floodlight, true));
-  const SuppressionResult baseline =
-      run_flow_mod_suppression(quick_config(ControllerKind::Floodlight, false));
+  const SuppressionResult attacked = run_quick(ControllerKind::Floodlight, true);
+  const SuppressionResult baseline = run_quick(ControllerKind::Floodlight, false);
 
   // Alive: pings answered, some bytes move.
   EXPECT_GE(attacked.ping.received(), attacked.ping.sent() - 1);
@@ -47,10 +47,8 @@ TEST(Suppression, FloodlightDegradedButAlive) {
 }
 
 TEST(Suppression, RyuDegradedButAlive) {
-  const SuppressionResult attacked =
-      run_flow_mod_suppression(quick_config(ControllerKind::Ryu, true));
-  const SuppressionResult baseline =
-      run_flow_mod_suppression(quick_config(ControllerKind::Ryu, false));
+  const SuppressionResult attacked = run_quick(ControllerKind::Ryu, true);
+  const SuppressionResult baseline = run_quick(ControllerKind::Ryu, false);
   EXPECT_GE(attacked.ping.received(), attacked.ping.sent() - 1);
   ASSERT_TRUE(attacked.mean_throughput_mbps().has_value());
   EXPECT_LT(*attacked.mean_throughput_mbps(), *baseline.mean_throughput_mbps() / 5.0);
@@ -60,10 +58,8 @@ TEST(Suppression, ControlPlaneTrafficAmplified) {
   // §VII-B: for n data packets, suppression can generate up to 2n+2 extra
   // controller messages. Compare PACKET_IN counts with and without the
   // attack on the same workload.
-  const SuppressionResult attacked =
-      run_flow_mod_suppression(quick_config(ControllerKind::Floodlight, true));
-  const SuppressionResult baseline =
-      run_flow_mod_suppression(quick_config(ControllerKind::Floodlight, false));
+  const SuppressionResult attacked = run_quick(ControllerKind::Floodlight, true);
+  const SuppressionResult baseline = run_quick(ControllerKind::Floodlight, false);
   EXPECT_GT(attacked.packet_ins, 10 * baseline.packet_ins);
   EXPECT_GT(attacked.packet_outs, baseline.packet_outs);
 }
@@ -71,8 +67,7 @@ TEST(Suppression, ControlPlaneTrafficAmplified) {
 TEST(Suppression, BaselineUnaffectedByInjectorPresence) {
   // Without the attack the injector still proxies everything; throughput
   // must match the no-injector expectations (line rate).
-  const SuppressionResult baseline =
-      run_flow_mod_suppression(quick_config(ControllerKind::Pox, false));
+  const SuppressionResult baseline = run_quick(ControllerKind::Pox, false);
   ASSERT_TRUE(baseline.mean_throughput_mbps().has_value());
   EXPECT_GT(*baseline.mean_throughput_mbps(), 60.0);
   EXPECT_EQ(baseline.ping.received(), baseline.ping.sent());
@@ -80,8 +75,7 @@ TEST(Suppression, BaselineUnaffectedByInjectorPresence) {
 }
 
 TEST(Suppression, SuppressedCountMatchesObservedFlowMods) {
-  const SuppressionResult attacked =
-      run_flow_mod_suppression(quick_config(ControllerKind::Floodlight, true));
+  const SuppressionResult attacked = run_quick(ControllerKind::Floodlight, true);
   // Every observed FLOW_MOD on any connection was dropped.
   EXPECT_EQ(attacked.flow_mods_observed, attacked.flow_mods_suppressed);
   EXPECT_GT(attacked.flow_mods_observed, 0u);

@@ -190,6 +190,71 @@ TEST(ResultSerialization, UnansweredPingTrialsSurvive) {
   EXPECT_EQ(loaded->to_json(), result.to_json());
 }
 
+// Hand-built save_result records (layout in experiment.cpp): tag, the
+// common block (controller, attack, options, seven u64 counters), then the
+// kind's fields. Only the bytes under test vary.
+void write_common(ByteWriter& w, std::uint8_t controller) {
+  w.u8(controller);
+  w.u8(1);  // attack
+  w.u8(2);  // options: use_compiled
+  for (int i = 0; i < 7; ++i) w.u64(0);
+}
+
+Bytes suppression_record(std::uint8_t controller, std::uint32_t ping_trials) {
+  ByteWriter w;
+  w.u8(1);  // suppression tag
+  write_common(w, controller);
+  w.u32(ping_trials);  // no trial bodies follow
+  w.u32(0);            // iperf samples
+  for (int i = 0; i < 5; ++i) w.u64(0);
+  return w.bytes();
+}
+
+Bytes volumetric_record(std::uint8_t kind, std::uint32_t topology_id_len) {
+  ByteWriter w;
+  w.u8(3);  // volumetric tag
+  write_common(w, static_cast<std::uint8_t>(ControllerKind::Pox));
+  w.u8(kind);
+  w.u32(topology_id_len);
+  w.raw({reinterpret_cast<const std::uint8_t*>("fat-tree/k4"), 11});
+  for (int i = 0; i < 9; ++i) w.u64(0);
+  w.u32(0);  // probe trials
+  return w.bytes();
+}
+
+scenario::RunResultPtr load(const Bytes& record) {
+  ByteReader r(record);
+  return scenario::load_result(r);
+}
+
+TEST(ResultSerialization, HandBuiltRecordsLoad) {
+  const scenario::RunResultPtr s =
+      load(suppression_record(static_cast<std::uint8_t>(ControllerKind::Ryu), 0));
+  EXPECT_EQ(s->controller, ControllerKind::Ryu);
+  const scenario::RunResultPtr v = load(volumetric_record(2, 11));
+  EXPECT_EQ(dynamic_cast<const scenario::VolumetricResult&>(*v).topology_id, "fat-tree/k4");
+  EXPECT_NO_THROW(v->to_json());
+}
+
+TEST(ResultSerialization, UnregisteredControllerIsADecodeError) {
+  // Loading used to succeed and to_json() threw later, after a resumed
+  // journal had already accepted the record.
+  EXPECT_THROW(load(suppression_record(9, 0)), DecodeError);
+  EXPECT_THROW(load(suppression_record(0xff, 0)), DecodeError);
+}
+
+TEST(ResultSerialization, OutOfRangeVolumetricKindIsADecodeError) {
+  EXPECT_THROW(load(volumetric_record(3, 11)), DecodeError);
+  EXPECT_THROW(load(volumetric_record(0xff, 11)), DecodeError);
+}
+
+TEST(ResultSerialization, CountsBeyondTheRecordAreDecodeErrors) {
+  // 0x0fffffff ping trials used to reserve ~4 GiB and throw bad_alloc.
+  EXPECT_THROW(load(suppression_record(1, 0x0fffffffu)), DecodeError);
+  EXPECT_THROW(load(suppression_record(1, 0xffffffffu)), DecodeError);
+  EXPECT_THROW(load(volumetric_record(0, 0x7fffffffu)), DecodeError);
+}
+
 TEST(ResultSerialization, CustomResultsAreRejected) {
   class Opaque : public scenario::RunResult {
    public:

@@ -333,17 +333,5 @@ TEST(Sweep, ReportAccountsVirtualTime) {
   EXPECT_EQ(report.results_json().find("wall_seconds"), std::string::npos);
 }
 
-// run(spec) matches the legacy entry points bit-for-bit.
-TEST(Sweep, RunSpecMatchesLegacyEntryPoints) {
-  scenario::SuppressionConfig config;
-  config.controller = ControllerKind::Ryu;
-  config.attack_enabled = true;
-  config.ping_trials = 2;
-  config.iperf_trials = 0;
-  const scenario::SuppressionResult legacy = scenario::run_flow_mod_suppression(config);
-  const scenario::RunResultPtr via_spec = scenario::run(scenario::to_run_spec(config));
-  EXPECT_EQ(legacy.to_json(), via_spec->to_json());
-}
-
 }  // namespace
 }  // namespace attain

@@ -232,6 +232,75 @@ TEST(CampaignJournal, TornTailIsTruncatedNotTrusted) {
   std::remove(path.c_str());
 }
 
+#if defined(__unix__) || defined(__APPLE__)
+// An intact, correctly checksummed journal record whose body does not
+// decode. Variant 0: a status byte that is no CellStatus. Variants 1 and 2
+// carry a suppression result (layout in experiment.cpp's save_result) with
+// an unregistered controller byte / a ping-trial count far beyond the
+// record, and the result digest such a record would have if it loaded.
+ByteWriter undecodable_record(int variant) {
+  ByteWriter w;
+  w.u32(1);                    // cell index
+  w.u8(variant == 0 ? 7 : 0);  // status
+  w.u32(1);                    // attempts
+  w.u64(0);                    // wall seconds
+  w.u32(0);                    // error text length
+  if (variant == 0) {
+    w.u8(0);   // no result
+    w.u64(0);  // result digest
+    return w;
+  }
+  ByteWriter result;
+  result.u8(1);                          // suppression tag
+  result.u8(variant == 1 ? 9 : 1);       // controller
+  result.u8(1);                          // attack
+  result.u8(2);                          // options
+  for (int i = 0; i < 7; ++i) result.u64(0);
+  result.u32(variant == 2 ? 0x0fffffffu : 0);  // ping trials
+  result.u32(0);                                // iperf samples
+  for (int i = 0; i < 5; ++i) result.u64(0);
+  w.u8(1);
+  w.raw(result.bytes());
+  w.u64(fnv1a64(result.bytes()));
+  return w;
+}
+
+TEST(CampaignJournal, UndecodableRecordIsDroppedAndTruncated) {
+  const std::vector<RunSpec> grid = quick_grid();
+  const std::uint64_t digest = scenario::grid_digest(grid);
+  sweep::CellOutcome ok;
+  ok.status = sweep::CellStatus::Ok;
+  ok.attempts = 1;
+  ok.result = std::make_unique<scenario::SuppressionResult>();
+
+  for (int variant = 0; variant < 3; ++variant) {
+    const std::string path = temp_path("journal");
+    {
+      sweep::CampaignJournal journal = sweep::CampaignJournal::create(path, digest, grid.size());
+      ASSERT_TRUE(journal.append(0, ok));
+    }
+    {
+      const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
+      ASSERT_GE(fd, 0);
+      EXPECT_TRUE(snap::wire::write_frame(fd, snap::wire::seal(undecodable_record(variant))));
+      ::close(fd);
+    }
+    std::vector<sweep::CampaignJournal::LoadedCell> loaded;
+    sweep::CampaignJournal resumed =
+        sweep::CampaignJournal::resume(path, digest, grid.size(), loaded);
+    EXPECT_EQ(loaded.size(), 1u) << "variant " << variant;
+    // Truncated after the last good record: a fresh append is record two.
+    EXPECT_TRUE(resumed.append(2, ok));
+    resumed.close();
+    loaded.clear();
+    sweep::CampaignJournal again = sweep::CampaignJournal::resume(path, digest, grid.size(), loaded);
+    ASSERT_EQ(loaded.size(), 2u) << "variant " << variant;
+    EXPECT_EQ(loaded[1].index, 2u);
+    std::remove(path.c_str());
+  }
+}
+#endif
+
 TEST(CampaignJournal, RejectsMismatchedCampaign) {
   const std::vector<RunSpec> grid = quick_grid();
   const std::string path = temp_path("journal");
