@@ -120,6 +120,12 @@ std::string digest_text(const sweep::SweepReport& report) {
   return out;
 }
 
+std::string table_text(const sweep::SweepReport& report) {
+  std::vector<const scenario::RunResult*> results;
+  for (const sweep::CellOutcome& cell : report.cells) results.push_back(cell.result.get());
+  return scenario::render_results_table(results);
+}
+
 std::string default_dir() { return ATTAIN_GOLDEN_DIR; }
 
 std::string json_path(const std::string& dir, const std::string& name) {
@@ -128,6 +134,10 @@ std::string json_path(const std::string& dir, const std::string& name) {
 
 std::string digests_path(const std::string& dir, const std::string& name) {
   return dir + "/" + name + ".digests";
+}
+
+std::string table_path(const std::string& dir, const std::string& name) {
+  return dir + "/" + name + ".table";
 }
 
 std::string read_file(const std::string& path) {

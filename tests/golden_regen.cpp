@@ -1,5 +1,5 @@
 // Regenerates the golden corpus (tests/golden/): runs each document's grid
-// cold on one thread and overwrites its .json and .digests files.
+// cold on one thread and overwrites its .json, .digests and .table files.
 //
 //   golden_regen [--dir <path>] [name...]
 //
@@ -51,13 +51,15 @@ int main(int argc, char** argv) {
     }
     const std::string json = golden::json_path(dir, name);
     const std::string digests = golden::digests_path(dir, name);
+    const std::string table = golden::table_path(dir, name);
     if (!golden::write_file(json, golden::results_text(report)) ||
-        !golden::write_file(digests, golden::digest_text(report))) {
+        !golden::write_file(digests, golden::digest_text(report)) ||
+        !golden::write_file(table, golden::table_text(report))) {
       std::fprintf(stderr, "%s: cannot write under %s\n", name.c_str(), dir.c_str());
       return 1;
     }
-    std::printf("wrote %s (%zu cells) and %s\n", json.c_str(), report.cells.size(),
-                digests.c_str());
+    std::printf("wrote %s (%zu cells), %s and %s\n", json.c_str(), report.cells.size(),
+                digests.c_str(), table.c_str());
   }
   return 0;
 }

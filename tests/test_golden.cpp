@@ -1,6 +1,6 @@
 // Golden corpus: every document under tests/golden/ is regenerated here and
-// byte-compared with the committed file — the results JSON and the
-// per-cell result_digest listing (see golden_corpus.hpp). The campaign and
+// byte-compared with the committed files — the results JSON, the per-cell
+// result_digest listing and the results text table (see golden_corpus.hpp). The campaign and
 // volumetric grids are also run through the warm-start SweepRunner and a
 // 2-worker DistributedRunner against the same files. This test never
 // writes a golden; golden_regen does, and each use is logged in
@@ -52,6 +52,9 @@ void expect_matches_golden(const std::string& name, const sweep::SweepReport& re
   EXPECT_TRUE(same_bytes(golden::read_file(golden::digests_path(dir, name)),
                          golden::digest_text(report)))
       << name << ".digests";
+  EXPECT_TRUE(same_bytes(golden::read_file(golden::table_path(dir, name)),
+                         golden::table_text(report)))
+      << name << ".table";
 }
 
 sweep::SweepReport run_threaded(const std::string& name, unsigned threads, bool warm_start) {
