@@ -4,7 +4,7 @@
 // and a PACKET_OUT per packet, plus the suppressed FLOW_MOD pair). This
 // bench measures control-plane message counts per delivered data packet
 // with and without the attack; the counters render through
-// RunResult::to_row() (the "ctl msgs/pkt" column is the amplification).
+// RunResult::row() (the "ctl msgs/pkt" column is the amplification).
 #include <cstdio>
 
 #include "sweep/sweep.hpp"

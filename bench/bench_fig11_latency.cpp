@@ -6,7 +6,7 @@
 // hop) while POX is "*" — latency infinite, no echo ever returns.
 //
 // The six cells run through the sweep engine (one worker per core); rows
-// render through RunResult::to_row().
+// render through RunResult::row().
 #include <cstdio>
 #include <cstdlib>
 

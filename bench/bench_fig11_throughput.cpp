@@ -10,7 +10,7 @@
 // Full-scale paper parameters (30 x 10 s trials) run with ATTAIN_FULL=1;
 // the default is a faster configuration with the same shape. The six cells
 // run through the sweep engine (one worker per core); rows render through
-// RunResult::to_row().
+// RunResult::row().
 #include <cstdio>
 #include <cstdlib>
 

@@ -9,11 +9,9 @@
 // the wall-clock speedup (total-work reduction, so it shows up even on a
 // single core).
 //
-// ATTAIN_SWEEP_THREADS overrides the thread count (default 8).
-// `--json <path>` writes a bench_json.hpp wrapper document with
-// cold/warm wall-clock metrics for tools/bench_baseline.py.
+// Both runs use 8 threads. `--json <path>` writes a bench_json.hpp wrapper
+// document with cold/warm wall-clock metrics for tools/bench_baseline.py.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_json.hpp"
 #include "snap/snapshot.hpp"
@@ -53,11 +51,7 @@ SweepReport run_grid(const std::vector<RunSpec>& grid, unsigned threads, bool wa
 }  // namespace
 
 int main(int argc, char** argv) {
-  unsigned threads = 8;
-  if (const char* env = std::getenv("ATTAIN_SWEEP_THREADS")) {
-    threads = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-    if (threads == 0) threads = 8;
-  }
+  const unsigned threads = 8;
 
   const std::vector<RunSpec> grid = evaluation_grid();
   std::printf("Warm-start snapshots — %zu-cell Table II + Fig. 11 campaign grid, "

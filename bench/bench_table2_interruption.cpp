@@ -10,7 +10,7 @@
 // inspects), so the attack never reaches σ3 and nothing is interrupted.
 //
 // The six cells run through the sweep engine (one worker per core) and
-// render via RunResult::to_row() plus the paper's transposed layout.
+// render via RunResult::row() plus the paper's transposed layout.
 #include <cstdio>
 
 #include "bench_json.hpp"

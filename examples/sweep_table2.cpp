@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
     std::printf("\n%s\n\n", report.summary().c_str());
   }
 
-  // Per-run rows through the RunResult::to_row() interface.
+  // Per-run rows through the RunResult::row() interface.
   std::vector<const scenario::RunResult*> results;
   for (const sweep::CellOutcome& cell : report.cells) results.push_back(cell.result.get());
   std::printf("%s\n", scenario::render_results_table(results).c_str());

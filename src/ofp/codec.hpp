@@ -20,7 +20,7 @@ struct Header {
 };
 
 /// Per-thread codec invocation counters. encode()/decode() bump these; the
-/// channel-pipeline bench (bench_channel_codec) measures the decode-once
+/// Table II codec-savings test (test_channel.cpp) measures the decode-once
 /// envelope path against the encode/decode/decode byte pipeline with them.
 /// Thread-local so parallel sweep workers never race — each cell reads its
 /// own thread's tally.

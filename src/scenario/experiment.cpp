@@ -1,8 +1,9 @@
 #include "scenario/experiment.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <iterator>
 #include <stdexcept>
+#include <typeinfo>
 #include <unordered_set>
 
 #include "attain/dsl/parser.hpp"
@@ -162,6 +163,27 @@ void Testbed::arm_attack_at(SimTime when, const lang::Attack& attack,
   sched_.at(when, [this, raw] { injector_->arm(raw->attack, raw->capabilities); });
 }
 
+namespace {
+
+/// The common block every experiment reports, read off the testbed after
+/// the cell ran.
+void fill_common(RunResult& result, const RunSpec& cell, Testbed& bed) {
+  result.controller = cell.controller;
+  result.attack_enabled = cell.attack_enabled;
+  result.options = cell.options;
+  result.virtual_time = bed.scheduler().now();
+  result.events_executed = bed.scheduler().events_executed();
+  result.messages_interposed = bed.injector().stats().messages_interposed;
+  result.messages_suppressed = bed.injector().stats().messages_suppressed;
+  result.codec_ops_saved = bed.channel_totals().codec_ops_saved;
+  if (const inject::AttackExecutor* exec = bed.injector().executor()) {
+    result.rules_skipped_by_guard = exec->stats().rules_skipped_by_guard;
+    result.programs_executed = exec->stats().programs_executed;
+  }
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Experiment 1: flow modification suppression.
 // ---------------------------------------------------------------------------
@@ -190,53 +212,51 @@ double SuppressionResult::control_amplification() const {
   return static_cast<double>(packet_ins + packet_outs + flow_mods_observed) / data;
 }
 
-std::vector<std::string> SuppressionResult::row_header() const {
-  return {"controller", "mode",       "throughput Mbps", "RTT ms",    "loss %",
-          "PACKET_IN",  "PACKET_OUT", "FLOW_MOD",        "suppressed", "data pkts",
-          "ctl msgs/pkt", "interposed", "codec saved"};
-}
-
-std::vector<std::string> SuppressionResult::to_row() const {
+TableRow SuppressionResult::row() const {
   using monitor::TextTable;
-  return {to_string(controller),
-          attack_enabled ? "attack" : "baseline",
-          TextTable::num_or_star(mean_throughput_mbps()),
-          TextTable::num_or_star(mean_latency_ms(), 3),
-          TextTable::num(ping.sent() > 0 ? ping.loss_fraction() * 100.0 : 0.0, 1),
-          std::to_string(packet_ins),
-          std::to_string(packet_outs),
-          std::to_string(flow_mods_observed),
-          std::to_string(flow_mods_suppressed),
-          std::to_string(data_packets_delivered),
-          TextTable::num(control_amplification(), 3),
-          std::to_string(messages_interposed),
-          std::to_string(codec_ops_saved)};
+  return {{"controller", to_string(controller)},
+          {"mode", attack_enabled ? "attack" : "baseline"},
+          {"throughput Mbps", TextTable::num_or_star(mean_throughput_mbps())},
+          {"RTT ms", TextTable::num_or_star(mean_latency_ms(), 3)},
+          {"loss %", TextTable::num(ping.sent() > 0 ? ping.loss_fraction() * 100.0 : 0.0, 1)},
+          {"PACKET_IN", std::to_string(packet_ins)},
+          {"PACKET_OUT", std::to_string(packet_outs)},
+          {"FLOW_MOD", std::to_string(flow_mods_observed)},
+          {"suppressed", std::to_string(flow_mods_suppressed)},
+          {"data pkts", std::to_string(data_packets_delivered)},
+          {"ctl msgs/pkt", TextTable::num(control_amplification(), 3)},
+          {"interposed", std::to_string(messages_interposed)},
+          {"codec saved", std::to_string(codec_ops_saved)}};
 }
 
-void SuppressionResult::write_json_fields(JsonWriter& w) const {
-  w.key("ping").begin_object();
-  w.field("sent", static_cast<std::uint64_t>(ping.sent()));
-  w.field("received", static_cast<std::uint64_t>(ping.received()));
-  w.field("loss", ping.sent() > 0 ? ping.loss_fraction() : 0.0);
-  w.field_or_null("mean_rtt_ms", mean_latency_ms());
-  w.end_object();
-  w.key("iperf_mbps").begin_array();
-  for (const double v : iperf_mbps) w.value(v);
-  w.end_array();
-  w.field_or_null("mean_throughput_mbps", mean_throughput_mbps());
-  w.field("packet_ins", packet_ins);
-  w.field("packet_outs", packet_outs);
-  w.field("flow_mods_observed", flow_mods_observed);
-  w.field("flow_mods_suppressed", flow_mods_suppressed);
-  w.field("data_packets_delivered", data_packets_delivered);
+void SuppressionResult::fields(FieldCodec& codec) {
+  codec.field("ping", ping);
+  codec.field("iperf_mbps", iperf_mbps);
+  codec.derived("mean_throughput_mbps", mean_throughput_mbps());
+  codec.field("packet_ins", packet_ins);
+  codec.field("packet_outs", packet_outs);
+  codec.field("flow_mods_observed", flow_mods_observed);
+  codec.field("flow_mods_suppressed", flow_mods_suppressed);
+  codec.field("data_packets_delivered", data_packets_delivered);
 }
 
 namespace {
 
+/// The suppression workload script: pings from t=30 s, a 5 s guard, the
+/// iperf trials back to back (duration + gap each), then a 2 s drain.
+SimTime suppression_iperf_start(const RunSpec& spec) {
+  return seconds(30) + static_cast<SimTime>(spec.ping_trials) * kSecond + 5 * kSecond;
+}
+
+SimTime suppression_end(const RunSpec& spec) {
+  return suppression_iperf_start(spec) +
+         static_cast<SimTime>(spec.iperf_trials) * (spec.iperf_duration + spec.iperf_gap) +
+         2 * kSecond;
+}
+
 /// Phase A of the suppression experiment: testbed built and the full
 /// workload scripted, minus attack arming (a fork-time parameter applied
-/// by finish()). The schedule must stay in lockstep with
-/// suppression_end() in scenario/run.cpp.
+/// by finish()).
 class SuppressionWarmup final : public WarmupPhase {
  public:
   explicit SuppressionWarmup(const RunSpec& rep) : rep_(rep) {
@@ -266,9 +286,7 @@ class SuppressionWarmup final : public WarmupPhase {
 
     // iperf trials: server on h6, fresh client per trial (distinct ports so
     // stragglers from a finished trial cannot ack into the next one).
-    const SimTime iperf_start = seconds(30) + static_cast<SimTime>(rep_.ping_trials) * kSecond +
-                                5 * kSecond;
-    SimTime t = iperf_start;
+    SimTime t = suppression_iperf_start(rep_);
     for (unsigned trial = 0; trial < rep_.iperf_trials; ++trial) {
       sched.at(t, [this, trial] {
         dpl::IperfClientConfig cc;
@@ -281,7 +299,6 @@ class SuppressionWarmup final : public WarmupPhase {
       });
       t += rep_.iperf_duration + rep_.iperf_gap;
     }
-    end_ = t + 2 * kSecond;
   }
 
   void advance_to(SimTime deadline) override { bed_->run_until(deadline); }
@@ -295,15 +312,10 @@ class SuppressionWarmup final : public WarmupPhase {
     if (cell.attack_enabled) {
       bed_->arm_attack_at(resolved_attack_start(cell), flow_mod_suppression_dsl());
     }
-    bed_->run_until(end_);
+    bed_->run_until(suppression_end(rep_));
 
-    auto& sched = bed_->scheduler();
     auto result = std::make_unique<SuppressionResult>();
-    result->controller = cell.controller;
-    result->attack_enabled = cell.attack_enabled;
-    result->options = cell.options;
-    result->virtual_time = sched.now();
-    result->events_executed = sched.events_executed();
+    fill_common(*result, cell, *bed_);
     result->ping = ping_->report();
     for (const auto& client : clients_) {
       result->iperf_mbps.push_back(client->result().throughput_mbps());
@@ -316,13 +328,6 @@ class SuppressionWarmup final : public WarmupPhase {
     for (const topo::HostSpec& hspec : bed_->model().hosts()) {
       result->data_packets_delivered += bed_->host(hspec.name).counters().packets_received;
     }
-    result->messages_interposed = bed_->injector().stats().messages_interposed;
-    result->messages_suppressed = bed_->injector().stats().messages_suppressed;
-    result->codec_ops_saved = bed_->channel_totals().codec_ops_saved;
-    if (const inject::AttackExecutor* exec = bed_->injector().executor()) {
-      result->rules_skipped_by_guard = exec->stats().rules_skipped_by_guard;
-      result->programs_executed = exec->stats().programs_executed;
-    }
     return result;
   }
 
@@ -332,7 +337,6 @@ class SuppressionWarmup final : public WarmupPhase {
   std::unique_ptr<dpl::PingApp> ping_;
   std::vector<std::unique_ptr<dpl::IperfServer>> servers_;
   std::vector<std::unique_ptr<dpl::IperfClient>> clients_;
-  SimTime end_{0};
 };
 
 }  // namespace
@@ -341,33 +345,27 @@ class SuppressionWarmup final : public WarmupPhase {
 // Experiment 2: connection interruption.
 // ---------------------------------------------------------------------------
 
-std::vector<std::string> InterruptionResult::row_header() const {
-  return {"controller",   "s2 fail mode",  "ext->ext t30", "int->ext t30",
-          "ext->int t50", "int->ext t95",  "sigma3",       "interposed",
-          "suppressed",   "codec saved"};
-}
-
-std::vector<std::string> InterruptionResult::to_row() const {
+TableRow InterruptionResult::row() const {
   auto yn = [](bool v) { return std::string(v ? "yes" : "no"); };
-  return {to_string(controller),
-          s2_fail_secure ? "fail-secure" : "fail-safe",
-          yn(ext_to_ext_t30),
-          yn(int_to_ext_t30),
-          yn(ext_to_int_t50),
-          yn(int_to_ext_t95),
-          yn(attack_reached_sigma3),
-          std::to_string(messages_interposed),
-          std::to_string(messages_suppressed),
-          std::to_string(codec_ops_saved)};
+  return {{"controller", to_string(controller)},
+          {"s2 fail mode", s2_fail_secure ? "fail-secure" : "fail-safe"},
+          {"ext->ext t30", yn(ext_to_ext_t30)},
+          {"int->ext t30", yn(int_to_ext_t30)},
+          {"ext->int t50", yn(ext_to_int_t50)},
+          {"int->ext t95", yn(int_to_ext_t95)},
+          {"sigma3", yn(attack_reached_sigma3)},
+          {"interposed", std::to_string(messages_interposed)},
+          {"suppressed", std::to_string(messages_suppressed)},
+          {"codec saved", std::to_string(codec_ops_saved)}};
 }
 
-void InterruptionResult::write_json_fields(JsonWriter& w) const {
-  w.field("s2_fail_secure", s2_fail_secure);
-  w.field("ext_to_ext_t30", ext_to_ext_t30);
-  w.field("int_to_ext_t30", int_to_ext_t30);
-  w.field("ext_to_int_t50", ext_to_int_t50);
-  w.field("int_to_ext_t95", int_to_ext_t95);
-  w.field("attack_reached_sigma3", attack_reached_sigma3);
+void InterruptionResult::fields(FieldCodec& codec) {
+  codec.field("s2_fail_secure", s2_fail_secure);
+  codec.field("ext_to_ext_t30", ext_to_ext_t30);
+  codec.field("int_to_ext_t30", int_to_ext_t30);
+  codec.field("ext_to_int_t50", ext_to_int_t50);
+  codec.field("int_to_ext_t95", int_to_ext_t95);
+  codec.field("attack_reached_sigma3", attack_reached_sigma3);
 }
 
 namespace {
@@ -425,13 +423,8 @@ class InterruptionWarmup final : public WarmupPhase {
     bed_->switch_named("s2").set_fail_secure(cell.options.fail_secure);
     bed_->run_until(seconds(125));
 
-    auto& sched = bed_->scheduler();
     auto result = std::make_unique<InterruptionResult>();
-    result->controller = cell.controller;
-    result->attack_enabled = cell.attack_enabled;
-    result->options = cell.options;
-    result->virtual_time = sched.now();
-    result->events_executed = sched.events_executed();
+    fill_common(*result, cell, *bed_);
     result->s2_fail_secure = cell.options.fail_secure;
     result->ext_to_ext_t30 = pings_[0]->report().received() > 0;
     result->int_to_ext_t30 = pings_[1]->report().received() > 0;
@@ -439,13 +432,6 @@ class InterruptionWarmup final : public WarmupPhase {
     result->int_to_ext_t95 = pings_[3]->report().received() > 0;
     result->attack_reached_sigma3 =
         bed_->injector().current_state() == std::optional<std::string>("sigma3");
-    result->messages_interposed = bed_->injector().stats().messages_interposed;
-    result->messages_suppressed = bed_->injector().stats().messages_suppressed;
-    result->codec_ops_saved = bed_->channel_totals().codec_ops_saved;
-    if (const inject::AttackExecutor* exec = bed_->injector().executor()) {
-      result->rules_skipped_by_guard = exec->stats().rules_skipped_by_guard;
-      result->programs_executed = exec->stats().programs_executed;
-    }
     return result;
   }
 
@@ -467,56 +453,57 @@ std::optional<double> VolumetricResult::probe_mean_rtt_ms() const {
   return *rtt * 1e3;
 }
 
-std::vector<std::string> VolumetricResult::row_header() const {
-  return {"controller", "topology", "mode",     "injected", "PACKET_IN",
-          "FLOW_MOD",   "rejected", "misses",   "drops",    "entries",
-          "peak",       "probe RTT ms", "probe loss %"};
-}
-
-std::vector<std::string> VolumetricResult::to_row() const {
+TableRow VolumetricResult::row() const {
   using monitor::TextTable;
-  return {to_string(controller),
-          topology_id,
-          attack_enabled ? to_string(volumetric) : "baseline",
-          std::to_string(flood_packets_injected),
-          std::to_string(packet_ins),
-          std::to_string(flow_mods_observed),
-          std::to_string(flow_mods_rejected),
-          std::to_string(table_misses),
-          std::to_string(miss_drops),
-          std::to_string(table_entries_final),
-          std::to_string(table_entries_peak),
-          TextTable::num_or_star(probe_mean_rtt_ms(), 3),
-          TextTable::num(probe.sent() > 0 ? probe.loss_fraction() * 100.0 : 0.0, 1)};
+  return {{"controller", to_string(controller)},
+          {"topology", topology_id},
+          {"mode", attack_enabled ? to_string(volumetric) : "baseline"},
+          {"injected", std::to_string(flood_packets_injected)},
+          {"PACKET_IN", std::to_string(packet_ins)},
+          {"FLOW_MOD", std::to_string(flow_mods_observed)},
+          {"rejected", std::to_string(flow_mods_rejected)},
+          {"misses", std::to_string(table_misses)},
+          {"drops", std::to_string(miss_drops)},
+          {"entries", std::to_string(table_entries_final)},
+          {"peak", std::to_string(table_entries_peak)},
+          {"probe RTT ms", TextTable::num_or_star(probe_mean_rtt_ms(), 3)},
+          {"probe loss %",
+           TextTable::num(probe.sent() > 0 ? probe.loss_fraction() * 100.0 : 0.0, 1)}};
 }
 
-void VolumetricResult::write_json_fields(JsonWriter& w) const {
-  w.field("volumetric", to_string(volumetric));
-  w.field("topology", topology_id);
-  w.field("flood_packets_injected", flood_packets_injected);
-  w.field("packet_ins", packet_ins);
-  w.field("packet_outs", packet_outs);
-  w.field("flow_mods_observed", flow_mods_observed);
-  w.field("flow_mods_rejected", flow_mods_rejected);
-  w.field("table_misses", table_misses);
-  w.field("miss_drops", miss_drops);
-  w.field("table_entries_final", table_entries_final);
-  w.field("table_entries_peak", table_entries_peak);
-  w.key("probe").begin_object();
-  w.field("sent", static_cast<std::uint64_t>(probe.sent()));
-  w.field("received", static_cast<std::uint64_t>(probe.received()));
-  w.field("loss", probe.sent() > 0 ? probe.loss_fraction() : 0.0);
-  w.field_or_null("mean_rtt_ms", probe_mean_rtt_ms());
-  w.end_object();
+void VolumetricResult::fields(FieldCodec& codec) {
+  codec.field("volumetric", volumetric);
+  codec.field("topology", topology_id);
+  codec.field("flood_packets_injected", flood_packets_injected);
+  codec.field("packet_ins", packet_ins);
+  codec.field("packet_outs", packet_outs);
+  codec.field("flow_mods_observed", flow_mods_observed);
+  codec.field("flow_mods_rejected", flow_mods_rejected);
+  codec.field("table_misses", table_misses);
+  codec.field("miss_drops", miss_drops);
+  codec.field("table_entries_final", table_entries_final);
+  codec.field("table_entries_peak", table_entries_peak);
+  codec.field("probe", probe);
 }
 
 namespace {
 
+/// The volumetric probe script: switches connect at t=1 s, the probe ping
+/// starts at t=3 s (one trial per second, sized to outlast the flood
+/// window), then a 2 s drain.
+unsigned volumetric_probe_trials(const RunSpec& spec) {
+  return static_cast<unsigned>(spec.flood_duration / kSecond) + 10;
+}
+
+SimTime volumetric_end(const RunSpec& spec) {
+  return seconds(3) + static_cast<SimTime>(volumetric_probe_trials(spec)) * kSecond +
+         2 * kSecond;
+}
+
 /// Phase A of a volumetric cell: testbed built on the cell's (generated)
 /// topology, background probe ping and the 1 s occupancy sampler scripted.
 /// The flood itself — kind, flow count, batching, timing — is a fork-time
-/// parameter applied by finish(). The schedule must stay in lockstep with
-/// volumetric_end() in scenario/run.cpp.
+/// parameter applied by finish().
 class VolumetricWarmup final : public WarmupPhase {
  public:
   explicit VolumetricWarmup(const RunSpec& rep) : rep_(rep) {
@@ -537,15 +524,13 @@ class VolumetricWarmup final : public WarmupPhase {
     const auto& hosts = bed_->model().hosts();
     const topo::HostSpec& src = hosts.front();
     const topo::HostSpec& dst = hosts.back();
-    const unsigned trials = static_cast<unsigned>(rep_.flood_duration / kSecond) + 10;
     ping_ = std::make_unique<dpl::PingApp>(bed_->host(src.name), dst.ip, /*icmp_id=*/300);
-    sched.at(seconds(3), [this, trials] { ping_->start(trials); });
-    end_ = seconds(3) + static_cast<SimTime>(trials) * kSecond + 2 * kSecond;
+    sched.at(seconds(3), [this] { ping_->start(volumetric_probe_trials(rep_)); });
 
     // Occupancy sampler: total live entries across the fabric every second.
     // Scripted in the shared prefix so cold and warm runs execute identical
     // event sequences.
-    for (SimTime t = seconds(2); t < end_; t += kSecond) {
+    for (SimTime t = seconds(2); t < volumetric_end(rep_); t += kSecond) {
       sched.at(t, [this] { peak_ = std::max(peak_, total_entries()); });
     }
   }
@@ -554,15 +539,10 @@ class VolumetricWarmup final : public WarmupPhase {
 
   RunResultPtr finish(const RunSpec& cell) override {
     if (cell.attack_enabled) schedule_flood(cell);
-    bed_->run_until(end_);
+    bed_->run_until(volumetric_end(rep_));
 
-    auto& sched = bed_->scheduler();
     auto result = std::make_unique<VolumetricResult>();
-    result->controller = cell.controller;
-    result->attack_enabled = cell.attack_enabled;
-    result->options = cell.options;
-    result->virtual_time = sched.now();
-    result->events_executed = sched.events_executed();
+    fill_common(*result, cell, *bed_);
     result->volumetric = cell.volumetric;
     result->topology_id = cell.topology.id();
     result->flood_packets_injected = injected_;
@@ -579,9 +559,6 @@ class VolumetricWarmup final : public WarmupPhase {
     result->table_entries_final = total_entries();
     result->table_entries_peak = std::max(peak_, result->table_entries_final);
     result->probe = ping_->report();
-    result->messages_interposed = bed_->injector().stats().messages_interposed;
-    result->messages_suppressed = bed_->injector().stats().messages_suppressed;
-    result->codec_ops_saved = bed_->channel_totals().codec_ops_saved;
     return result;
   }
 
@@ -684,7 +661,6 @@ class VolumetricWarmup final : public WarmupPhase {
   std::optional<pkt::FrameStamper> flood_stamper_;
   std::uint64_t injected_{0};
   std::uint64_t peak_{0};
-  SimTime end_{0};
 };
 
 }  // namespace
@@ -705,6 +681,25 @@ WarmupPhasePtr warm_up(const RunSpec& representative) {
       break;
   }
   throw std::invalid_argument("warm_up: custom cells have no warm-up phase");
+}
+
+SimTime fork_time(const RunSpec& spec) {
+  switch (spec.experiment) {
+    case ExperimentKind::FlowModSuppression:
+      // Baselines never diverge from the representative: fork at the end
+      // and the whole run is shared.
+      return spec.attack_enabled ? resolved_attack_start(spec) : suppression_end(spec);
+    case ExperimentKind::ConnectionInterruption:
+      // The s2 fail bit is first read when the switch notices the lost
+      // connection at t=62 s; t=55 s is safely after σ2 has fired and
+      // before any read.
+      return seconds(55);
+    case ExperimentKind::Volumetric:
+      return spec.attack_enabled ? resolved_attack_start(spec) : volumetric_end(spec);
+    case ExperimentKind::Custom:
+      break;
+  }
+  throw std::invalid_argument("fork_time: custom cells have no shared warm-up");
 }
 
 RunResultPtr run(const RunSpec& spec) {
@@ -733,10 +728,27 @@ RunResultPtr run(const RunSpec& spec) {
 
 namespace {
 
-constexpr std::uint8_t kSuppressionTag = 1;
-constexpr std::uint8_t kInterruptionTag = 2;
-constexpr std::uint8_t kVolumetricTag = 3;
+/// The result types save_result can ship, keyed by their record tag.
+struct ResultType {
+  std::uint8_t tag;
+  const std::type_info* type;
+  RunResultPtr (*make)();
+};
 
+template <typename T>
+RunResultPtr make_result() {
+  return std::make_unique<T>();
+}
+
+const ResultType kResultTypes[] = {
+    {1, &typeid(SuppressionResult), make_result<SuppressionResult>},
+    {2, &typeid(InterruptionResult), make_result<InterruptionResult>},
+    {3, &typeid(VolumetricResult), make_result<VolumetricResult>},
+};
+
+// Record layout: tag, this common block, then fields(). The counters come
+// before the fields here, while JSON puts control_channel after them;
+// both orders are pinned by the golden corpus.
 void save_common(const RunResult& r, ByteWriter& w) {
   w.u8(static_cast<std::uint8_t>(r.controller));
   w.u8(r.attack_enabled ? 1 : 0);
@@ -752,54 +764,14 @@ void save_common(const RunResult& r, ByteWriter& w) {
   w.u64(r.programs_executed);
 }
 
-// Element counts and enum bytes are checked before use: a corrupt record
-// (a journal is a trust boundary) must throw DecodeError, not reserve
-// gigabytes or load a value to_json() cannot render.
-std::uint32_t load_count(ByteReader& r, std::size_t min_element_bytes) {
-  const std::uint32_t count = r.u32();
-  if (count > r.remaining() / min_element_bytes) {
-    throw DecodeError("load_result: element count " + std::to_string(count) +
-                      " exceeds the record");
-  }
-  return count;
-}
-
+// An unregistered controller byte is a DecodeError here, not a to_json()
+// failure after a resumed journal has accepted the record.
 ControllerKind load_controller(ByteReader& r) {
   const std::uint8_t byte = r.u8();
   for (const ControllerKind kind : all_controller_kinds()) {
     if (static_cast<std::uint8_t>(kind) == byte) return kind;
   }
   throw DecodeError("load_result: unregistered controller " + std::to_string(byte));
-}
-
-VolumetricKind load_volumetric(ByteReader& r) {
-  const std::uint8_t byte = r.u8();
-  if (byte > static_cast<std::uint8_t>(VolumetricKind::SlowRate)) {
-    throw DecodeError("load_result: unknown volumetric kind " + std::to_string(byte));
-  }
-  return static_cast<VolumetricKind>(byte);
-}
-
-void save_trials(ByteWriter& w, const mem::vector<dpl::PingTrial>& trials) {
-  w.u32(static_cast<std::uint32_t>(trials.size()));
-  for (const dpl::PingTrial& trial : trials) {
-    w.u16(trial.seq);
-    w.u64(static_cast<std::uint64_t>(trial.sent_at));
-    w.u8(trial.rtt.has_value() ? 1 : 0);
-    if (trial.rtt) w.u64(static_cast<std::uint64_t>(*trial.rtt));
-  }
-}
-
-void load_trials(ByteReader& r, mem::vector<dpl::PingTrial>& trials) {
-  const std::uint32_t count = load_count(r, /*u16 seq + u64 sent_at + u8 flag*/ 11);
-  trials.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    dpl::PingTrial trial;
-    trial.seq = r.u16();
-    trial.sent_at = static_cast<SimTime>(r.u64());
-    if (r.u8() != 0) trial.rtt = static_cast<SimTime>(r.u64());
-    trials.push_back(trial);
-  }
 }
 
 void load_common(RunResult& r, ByteReader& rd) {
@@ -818,106 +790,33 @@ void load_common(RunResult& r, ByteReader& rd) {
   r.programs_executed = rd.u64();
 }
 
-void save_f64(ByteWriter& w, double v) { w.u64(std::bit_cast<std::uint64_t>(v)); }
-double load_f64(ByteReader& r) { return std::bit_cast<double>(r.u64()); }
-
 }  // namespace
 
 void save_result(const RunResult& result, ByteWriter& w) {
-  if (const auto* s = dynamic_cast<const SuppressionResult*>(&result)) {
-    w.u8(kSuppressionTag);
-    save_common(result, w);
-    save_trials(w, s->ping.trials);
-    w.u32(static_cast<std::uint32_t>(s->iperf_mbps.size()));
-    for (const double v : s->iperf_mbps) save_f64(w, v);
-    w.u64(s->packet_ins);
-    w.u64(s->packet_outs);
-    w.u64(s->flow_mods_observed);
-    w.u64(s->flow_mods_suppressed);
-    w.u64(s->data_packets_delivered);
-    return;
+  const auto type = std::find_if(std::begin(kResultTypes), std::end(kResultTypes),
+                                 [&](const ResultType& t) { return *t.type == typeid(result); });
+  if (type == std::end(kResultTypes)) {
+    throw std::invalid_argument("save_result: unsupported result type: " + result.kind_name());
   }
-  if (const auto* i = dynamic_cast<const InterruptionResult*>(&result)) {
-    w.u8(kInterruptionTag);
-    save_common(result, w);
-    w.u8(i->s2_fail_secure ? 1 : 0);
-    w.u8(i->ext_to_ext_t30 ? 1 : 0);
-    w.u8(i->int_to_ext_t30 ? 1 : 0);
-    w.u8(i->ext_to_int_t50 ? 1 : 0);
-    w.u8(i->int_to_ext_t95 ? 1 : 0);
-    w.u8(i->attack_reached_sigma3 ? 1 : 0);
-    return;
-  }
-  if (const auto* v = dynamic_cast<const VolumetricResult*>(&result)) {
-    w.u8(kVolumetricTag);
-    save_common(result, w);
-    w.u8(static_cast<std::uint8_t>(v->volumetric));
-    w.u32(static_cast<std::uint32_t>(v->topology_id.size()));
-    w.raw({reinterpret_cast<const std::uint8_t*>(v->topology_id.data()), v->topology_id.size()});
-    w.u64(v->flood_packets_injected);
-    w.u64(v->packet_ins);
-    w.u64(v->packet_outs);
-    w.u64(v->flow_mods_observed);
-    w.u64(v->flow_mods_rejected);
-    w.u64(v->table_misses);
-    w.u64(v->miss_drops);
-    w.u64(v->table_entries_final);
-    w.u64(v->table_entries_peak);
-    save_trials(w, v->probe.trials);
-    return;
-  }
-  throw std::invalid_argument("save_result: unsupported result type: " + result.kind_name());
+  w.u8(type->tag);
+  save_common(result, w);
+  FieldCodec codec(w);
+  // A writing codec only reads the fields.
+  const_cast<RunResult&>(result).fields(codec);
 }
 
 RunResultPtr load_result(ByteReader& r) {
   const std::uint8_t tag = r.u8();
-  switch (tag) {
-    case kSuppressionTag: {
-      auto s = std::make_unique<SuppressionResult>();
-      load_common(*s, r);
-      load_trials(r, s->ping.trials);
-      const std::uint32_t mbps = load_count(r, sizeof(std::uint64_t));
-      s->iperf_mbps.reserve(mbps);
-      for (std::uint32_t i = 0; i < mbps; ++i) s->iperf_mbps.push_back(load_f64(r));
-      s->packet_ins = r.u64();
-      s->packet_outs = r.u64();
-      s->flow_mods_observed = r.u64();
-      s->flow_mods_suppressed = r.u64();
-      s->data_packets_delivered = r.u64();
-      return s;
-    }
-    case kInterruptionTag: {
-      auto i = std::make_unique<InterruptionResult>();
-      load_common(*i, r);
-      i->s2_fail_secure = r.u8() != 0;
-      i->ext_to_ext_t30 = r.u8() != 0;
-      i->int_to_ext_t30 = r.u8() != 0;
-      i->ext_to_int_t50 = r.u8() != 0;
-      i->int_to_ext_t95 = r.u8() != 0;
-      i->attack_reached_sigma3 = r.u8() != 0;
-      return i;
-    }
-    case kVolumetricTag: {
-      auto v = std::make_unique<VolumetricResult>();
-      load_common(*v, r);
-      v->volumetric = load_volumetric(r);
-      const auto id_bytes = r.view(load_count(r, 1));
-      v->topology_id.assign(id_bytes.begin(), id_bytes.end());
-      v->flood_packets_injected = r.u64();
-      v->packet_ins = r.u64();
-      v->packet_outs = r.u64();
-      v->flow_mods_observed = r.u64();
-      v->flow_mods_rejected = r.u64();
-      v->table_misses = r.u64();
-      v->miss_drops = r.u64();
-      v->table_entries_final = r.u64();
-      v->table_entries_peak = r.u64();
-      load_trials(r, v->probe.trials);
-      return v;
-    }
-    default:
-      throw DecodeError("load_result: unknown result tag " + std::to_string(tag));
+  const auto type = std::find_if(std::begin(kResultTypes), std::end(kResultTypes),
+                                 [&](const ResultType& t) { return t.tag == tag; });
+  if (type == std::end(kResultTypes)) {
+    throw DecodeError("load_result: unknown result tag " + std::to_string(tag));
   }
+  RunResultPtr result = type->make();
+  load_common(*result, r);
+  FieldCodec codec(r);
+  result->fields(codec);
+  return result;
 }
 
 std::uint64_t result_digest(const RunResult& result) {

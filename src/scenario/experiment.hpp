@@ -142,12 +142,9 @@ class SuppressionResult : public RunResult {
   double control_amplification() const;
 
   std::string kind_name() const override { return "suppression"; }
-  std::vector<std::string> row_header() const override;
-  std::vector<std::string> to_row() const override;
+  TableRow row() const override;
   RunResultPtr clone() const override { return std::make_unique<SuppressionResult>(*this); }
-
- protected:
-  void write_json_fields(JsonWriter& w) const override;
+  void fields(FieldCodec& codec) override;
 };
 
 // ---------------------------------------------------------------------------
@@ -167,12 +164,9 @@ class InterruptionResult : public RunResult {
   bool attack_reached_sigma3{false};  // Ryu: stays false (φ2 never fires)
 
   std::string kind_name() const override { return "interruption"; }
-  std::vector<std::string> row_header() const override;
-  std::vector<std::string> to_row() const override;
+  TableRow row() const override;
   RunResultPtr clone() const override { return std::make_unique<InterruptionResult>(*this); }
-
- protected:
-  void write_json_fields(JsonWriter& w) const override;
+  void fields(FieldCodec& codec) override;
 };
 
 // ---------------------------------------------------------------------------
@@ -209,12 +203,9 @@ class VolumetricResult : public RunResult {
   std::optional<double> probe_mean_rtt_ms() const;
 
   std::string kind_name() const override { return "volumetric"; }
-  std::vector<std::string> row_header() const override;
-  std::vector<std::string> to_row() const override;
+  TableRow row() const override;
   RunResultPtr clone() const override { return std::make_unique<VolumetricResult>(*this); }
-
- protected:
-  void write_json_fields(JsonWriter& w) const override;
+  void fields(FieldCodec& codec) override;
 };
 
 /// Renders Table II (the paper's transposed layout: questions as rows,

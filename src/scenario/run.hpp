@@ -1,7 +1,7 @@
 // The redesigned scenario API: every experiment cell is a RunSpec (a pure
 // value describing one deterministic simulation) and produces a RunResult
-// (a polymorphic record that knows how to render itself as a table row and
-// as field-order-stable JSON). The paper's two case studies — flow-mod
+// (a polymorphic record that lists its fields once, through a FieldCodec,
+// and renders itself as a table row). The paper's two case studies — flow-mod
 // suppression (§VII-B, Fig. 11) and connection interruption (§VII-C,
 // Table II) — are the built-in experiments; RunSpec::custom opens the same
 // machinery to arbitrary user scenarios. The sweep engine (src/sweep/)
@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -20,6 +21,10 @@
 #include "common/types.hpp"
 #include "ctl/factory.hpp"
 #include "topo/generators.hpp"
+
+namespace attain::dpl {
+struct PingReport;
+}  // namespace attain::dpl
 
 namespace attain::scenario {
 
@@ -127,10 +132,44 @@ struct RunSpec {
   std::string to_json() const;
 };
 
+/// One pass over a result's experiment-specific fields, in one of three
+/// formats: JSON members (JsonWriter), the save_result binary (ByteWriter),
+/// or that binary read back (ByteReader, which assigns the fields). A
+/// result lists its fields once, in RunResult::fields(); each overload
+/// below is the whole format decision for its field type.
+class FieldCodec {
+ public:
+  explicit FieldCodec(JsonWriter& json) : json_(&json) {}
+  explicit FieldCodec(ByteWriter& out) : out_(&out) {}
+  explicit FieldCodec(ByteReader& in) : in_(&in) {}
+
+  void field(const char* name, std::uint64_t& v);
+  void field(const char* name, bool& v);
+  /// Binary: u32 length + bytes.
+  void field(const char* name, std::string& v);
+  /// JSON: the kind's name. Binary: one byte, range-checked on read.
+  void field(const char* name, VolumetricKind& v);
+  /// Binary: u32 count + IEEE-754 bit patterns.
+  void field(const char* name, std::vector<double>& v);
+  /// JSON: {sent, received, loss, mean_rtt_ms}. Binary: every trial.
+  void field(const char* name, dpl::PingReport& v);
+  /// A value computed from other fields: JSON only (null when absent).
+  void derived(const char* name, std::optional<double> v);
+
+ private:
+  JsonWriter* json_{nullptr};
+  ByteWriter* out_{nullptr};
+  ByteReader* in_{nullptr};
+};
+
+/// One table row as (column header, cell) pairs. The headers are identical
+/// for all results of one kind, so a grid renders as one monitor::TextTable.
+using TableRow = std::vector<std::pair<std::string, std::string>>;
+
 /// Base of the result hierarchy. Concrete results (SuppressionResult,
-/// InterruptionResult in scenario/experiment.hpp, or user types for custom
-/// cells) add their experiment's metrics and implement the row/JSON
-/// interface the sweep report and table renderers consume.
+/// InterruptionResult, VolumetricResult in scenario/experiment.hpp, or user
+/// types for custom cells) add their experiment's metrics, list them in
+/// fields() and render them in row().
 class RunResult {
  public:
   RunResult() = default;
@@ -163,22 +202,19 @@ class RunResult {
 
   /// Short experiment tag ("suppression", "interruption", ...).
   virtual std::string kind_name() const = 0;
-  /// Column headers matching to_row(); identical for all results of one
-  /// kind, so a grid renders as one monitor::TextTable.
-  virtual std::vector<std::string> row_header() const = 0;
   /// This result as one table row.
-  virtual std::vector<std::string> to_row() const = 0;
+  virtual TableRow row() const = 0;
   /// Deep copy through the base pointer.
   virtual RunResultPtr clone() const = 0;
+  /// Lists the experiment-specific fields, in document order. Non-const
+  /// because a reading codec assigns through it; writing codecs only read.
+  virtual void fields(FieldCodec& codec) = 0;
 
-  /// Emits one JSON object: common fields first, then the subclass's
-  /// metrics (write_json_fields). Field order is fixed — the sweep
-  /// determinism tests compare these bytes.
+  /// Emits one JSON object: common fields first, then fields(), then the
+  /// control_channel object. Field order is fixed — the sweep determinism
+  /// tests compare these bytes.
   void write_json(JsonWriter& w) const;
   std::string to_json() const;
-
- protected:
-  virtual void write_json_fields(JsonWriter& w) const = 0;
 };
 
 /// Runs one cell to completion on the calling thread. Dispatches on
@@ -331,8 +367,8 @@ std::uint64_t result_digest(const RunResult& result);
 /// different grid is an error, not a silent partial re-run.
 std::uint64_t grid_digest(const std::vector<RunSpec>& grid);
 
-/// Renders homogeneous results as one aligned table via the
-/// row_header()/to_row() interface (null entries are skipped).
+/// Renders homogeneous results as one aligned table via row(): the first
+/// result's headers, then one row per result (null entries are skipped).
 std::string render_results_table(const std::vector<const RunResult*>& results);
 
 }  // namespace attain::scenario

@@ -156,24 +156,36 @@ TEST(RunSpec, CampaignGridSharesOneSignaturePerController) {
 // Binary result round-trip (the tail's pipe payload).
 // ---------------------------------------------------------------------------
 
-TEST(ResultSerialization, SuppressionRoundTripsByteExactly) {
-  const scenario::RunResultPtr original = scenario::run(quick_suppression(ControllerKind::Pox, true));
+Bytes save(const scenario::RunResult& result) {
   ByteWriter w;
-  scenario::save_result(*original, w);
-  ByteReader r(w.bytes());
+  scenario::save_result(result, w);
+  return w.bytes();
+}
+
+// save(load(save(r))) == save(r), and the JSON matches too. The byte check
+// covers fields the JSON hides (ping trial seq/sent_at, and the rule-engine
+// counters while extended_control_channel_json is off).
+void expect_round_trips(const scenario::RunResult& original) {
+  const Bytes bytes = save(original);
+  ByteReader r(bytes);
   const scenario::RunResultPtr loaded = scenario::load_result(r);
   EXPECT_TRUE(r.done());
-  EXPECT_EQ(loaded->to_json(), original->to_json());
+  EXPECT_EQ(save(*loaded), bytes);
+  EXPECT_EQ(loaded->to_json(), original.to_json());
+}
+
+TEST(ResultSerialization, SuppressionRoundTripsByteExactly) {
+  const scenario::RunResultPtr original = scenario::run(quick_suppression(ControllerKind::Pox, true));
+  EXPECT_GT(original->rules_skipped_by_guard, 0u);
+  expect_round_trips(*original);
 }
 
 TEST(ResultSerialization, InterruptionRoundTripsByteExactly) {
-  const scenario::RunResultPtr original = scenario::run(interruption(ControllerKind::Ryu, true));
-  ByteWriter w;
-  scenario::save_result(*original, w);
-  ByteReader r(w.bytes());
-  const scenario::RunResultPtr loaded = scenario::load_result(r);
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(loaded->to_json(), original->to_json());
+  RunSpec spec = interruption(ControllerKind::Ryu, true);
+  spec.options.extended_control_channel_json = true;
+  const scenario::RunResultPtr original = scenario::run(spec);
+  EXPECT_NE(original->to_json().find("\"programs_executed\""), std::string::npos);
+  expect_round_trips(*original);
 }
 
 TEST(ResultSerialization, UnansweredPingTrialsSurvive) {
@@ -259,12 +271,9 @@ TEST(ResultSerialization, CustomResultsAreRejected) {
   class Opaque : public scenario::RunResult {
    public:
     std::string kind_name() const override { return "opaque"; }
-    std::vector<std::string> row_header() const override { return {}; }
-    std::vector<std::string> to_row() const override { return {}; }
+    scenario::TableRow row() const override { return {}; }
     scenario::RunResultPtr clone() const override { return std::make_unique<Opaque>(*this); }
-
-   protected:
-    void write_json_fields(JsonWriter&) const override {}
+    void fields(scenario::FieldCodec&) override {}
   };
   ByteWriter w;
   EXPECT_THROW(scenario::save_result(Opaque{}, w), std::invalid_argument);
@@ -361,12 +370,12 @@ TEST(WarmStart, LonersAndCustomCellsFallBackCold) {
     class Token : public scenario::RunResult {
      public:
       std::string kind_name() const override { return "token"; }
-      std::vector<std::string> row_header() const override { return {"t"}; }
-      std::vector<std::string> to_row() const override { return {"1"}; }
+      scenario::TableRow row() const override { return {{"t", "1"}}; }
       scenario::RunResultPtr clone() const override { return std::make_unique<Token>(*this); }
+      void fields(scenario::FieldCodec& codec) override { codec.field("t", t_); }
 
-     protected:
-      void write_json_fields(JsonWriter& w) const override { w.field("t", std::int64_t{1}); }
+     private:
+      std::uint64_t t_{1};
     };
     return std::make_unique<Token>();
   };

@@ -121,17 +121,14 @@ TEST(RunSpec, CustomWithoutRunnerThrows) {
 // A minimal custom result for the custom-cell tests below.
 class TokenResult : public scenario::RunResult {
  public:
-  explicit TokenResult(std::int64_t token) : token_(token) {}
+  explicit TokenResult(std::uint64_t token) : token_(token) {}
   std::string kind_name() const override { return "token"; }
-  std::vector<std::string> row_header() const override { return {"token"}; }
-  std::vector<std::string> to_row() const override { return {std::to_string(token_)}; }
+  scenario::TableRow row() const override { return {{"token", std::to_string(token_)}}; }
   scenario::RunResultPtr clone() const override { return std::make_unique<TokenResult>(*this); }
-
- protected:
-  void write_json_fields(JsonWriter& w) const override { w.field("token", token_); }
+  void fields(scenario::FieldCodec& codec) override { codec.field("token", token_); }
 
  private:
-  std::int64_t token_;
+  std::uint64_t token_;
 };
 
 RunSpec custom_spec(std::string name, std::function<scenario::RunResultPtr(const RunSpec&)> fn) {

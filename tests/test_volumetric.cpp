@@ -238,6 +238,9 @@ TEST(Options, RoundTripThroughBinaryResults) {
   result.flood_packets_injected = 512;
   result.flow_mods_rejected = 7;
   result.table_entries_peak = 80;
+  result.rules_skipped_by_guard = 3;
+  result.probe.trials.push_back({7, seconds(3), std::nullopt});
+  result.probe.trials.push_back({8, seconds(4), 250 * kMicrosecond});
 
   ByteWriter w;
   scenario::save_result(result, w);
@@ -253,6 +256,9 @@ TEST(Options, RoundTripThroughBinaryResults) {
   EXPECT_EQ(v.flow_mods_rejected, 7u);
   EXPECT_EQ(v.table_entries_peak, 80u);
   EXPECT_EQ(v.to_json(), result.to_json());
+  ByteWriter again;
+  scenario::save_result(v, again);
+  EXPECT_EQ(again.bytes(), w.bytes());
 }
 
 }  // namespace
