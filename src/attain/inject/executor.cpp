@@ -34,34 +34,30 @@ const std::string& AttackExecutor::current_state_name() const {
   return attack_.states[current_].name;
 }
 
-bool AttackExecutor::plan_guard_skip(ConnectionId conn, lang::Direction direction,
-                                     std::optional<ofp::MsgType> type) const {
+bool AttackExecutor::try_guard_skip(ConnectionId conn, lang::Direction direction,
+                                    std::optional<ofp::MsgType> type) {
   if (!use_compiled_) return false;  // oracle mode evaluates every rule
-  const auto bucket = rule_buckets_[current_].find(conn);
-  if (bucket == rule_buckets_[current_].end()) return true;  // no rule bound to n
-  const dsl::CompiledState& state = attack_.states[current_];
-  for (const std::uint32_t rule_index : bucket->second) {
-    const dsl::CompiledRule& compiled = state.rules[rule_index];
-    if (!compiled.has_programs) return false;  // would tree-walk: not skippable
-    const lang::Guard& guard = compiled.program.guard();
-    // Shape-level Guard::admits(): direction bit, then undecodable_ok for
-    // payload-less frames, then the type bit. Any admitted rule would run.
-    if ((guard.direction_mask & (1u << static_cast<unsigned>(direction))) == 0) continue;
-    if (!type.has_value()) {
-      if (guard.undecodable_ok) return false;
-      continue;
+  const auto& buckets = rule_buckets_[current_];
+  const auto bucket = buckets.find(conn);
+  if (bucket != buckets.end()) {
+    const dsl::CompiledState& state = attack_.states[current_];
+    for (const std::uint32_t rule_index : bucket->second) {
+      const dsl::CompiledRule& compiled = state.rules[rule_index];
+      if (!compiled.has_programs) return false;  // would tree-walk: not skippable
+      const lang::Guard& guard = compiled.program.guard();
+      // Shape-level Guard::admits(): direction bit, then undecodable_ok for
+      // payload-less frames, then the type bit. Any admitted rule would run.
+      if ((guard.direction_mask & (1u << static_cast<unsigned>(direction))) == 0) continue;
+      if (!type.has_value()) {
+        if (guard.undecodable_ok) return false;
+        continue;
+      }
+      if ((guard.type_mask >> static_cast<unsigned>(*type)) & 1u) return false;
     }
-    if ((guard.type_mask >> static_cast<unsigned>(*type)) & 1u) return false;
-  }
-  return true;
-}
-
-void AttackExecutor::tally_guard_skip(ConnectionId conn) {
-  ++stats_.messages_processed;
-  const auto bucket = rule_buckets_[current_].find(conn);
-  if (bucket != rule_buckets_[current_].end()) {
     stats_.rules_skipped_by_guard += bucket->second.size();
   }
+  ++stats_.messages_processed;
+  return true;
 }
 
 ExecutionResult AttackExecutor::process(const lang::InFlightMessage& msg) {

@@ -67,19 +67,17 @@ class AttackExecutor {
   /// actual sends, which the proxy performs with the returned list).
   ExecutionResult process(const lang::InFlightMessage& msg);
 
-  /// Batch prefilter: true when process() for any message of this shape on
-  /// `conn` is guaranteed to run zero rules — every rule in the current
-  /// state's bucket carries a compiled program whose guard rejects the
-  /// (direction, type, decodability) shape, so outgoing == [msg], no state
-  /// or storage change, no monitor events. An empty bucket qualifies
-  /// trivially. `type` is absent for sealed/undecodable frames, mirroring
-  /// InFlightMessage::payload() == nullptr in Guard::admits().
-  bool plan_guard_skip(ConnectionId conn, lang::Direction direction,
-                       std::optional<ofp::MsgType> type) const;
-
-  /// Counter mirror of process() for a message plan_guard_skip() accepted:
-  /// one processed message, every bucket rule skipped by its guard.
-  void tally_guard_skip(ConnectionId conn);
+  /// Counter-only process() for a message no rule can see: when every rule
+  /// in the current state's bucket for `conn` carries a compiled program
+  /// whose guard rejects the (direction, type, decodability) shape — or the
+  /// bucket is empty — process() would return outgoing == [msg] with no
+  /// state, storage or monitor change. In that case this counts one
+  /// processed message and every bucket rule as guard-skipped, exactly as
+  /// process() would, and returns true; otherwise it changes nothing and
+  /// returns false. `type` is absent for sealed/undecodable frames,
+  /// mirroring InFlightMessage::payload() == nullptr in Guard::admits().
+  bool try_guard_skip(ConnectionId conn, lang::Direction direction,
+                      std::optional<ofp::MsgType> type);
 
   /// Oracle mode: evaluate conditionals with the tree-walk instead of the
   /// compiled programs (also disables the guard prefilter, restoring the

@@ -8,8 +8,12 @@
 // already cached (decode-once), rules read it for free, and delivery hands
 // the same envelope onward — the per-frame encode/decode round-trips of
 // the old byte plumbing are gone. attach_channel() is the one-call wiring
-// path: it installs the injector (plus monitor-tap and trace stages) on a
-// chan::Channel's proxy point and delivers through the channel's egress.
+// path: it installs the injector as a chan::Channel's proxy sink and
+// delivers through the channel's egress. on_envelope() is the one proxy
+// step for every frame: it records the §VI-B3 MessageObserved event, then
+// either takes the counter-only branch (counters-only monitor, no SLEEP()
+// in effect, and no armed rule whose guard admits the frame) or runs the
+// frame through the Algorithm-1 executor.
 #pragma once
 
 #include <functional>
@@ -47,10 +51,9 @@ class RuntimeInjector {
   void attach_connection(ConnectionId id, chan::EnvelopeSink to_controller,
                          chan::EnvelopeSink to_switch);
 
-  /// One-call channel wiring: attaches the connection, appends the stock
-  /// stage set (monitor tap, trace, injector proxy) to the channel, and
-  /// delivers through the channel's egress pipes. The channel must outlive
-  /// the injector.
+  /// One-call channel wiring: attaches the connection, installs the
+  /// injector as the channel's proxy sink, and delivers through the
+  /// channel's egress pipes. The channel must outlive the injector.
   void attach_channel(chan::Channel& channel, ConnectionId id);
 
   /// Input functions to hand to the endpoints: the switch sends its
@@ -60,18 +63,8 @@ class RuntimeInjector {
   chan::EnvelopeSink controller_side_input(ConnectionId id);
 
   /// The interposition point itself: every frame of an attached connection
-  /// lands here (via a channel's injector stage or the side-input sinks).
+  /// lands here (via a channel's proxy sink or the side-input sinks).
   void on_envelope(ConnectionId id, chan::Direction direction, chan::Envelope envelope);
-
-  /// Batch fast path (see chan::Stage::plan_fast): true when on_envelope()
-  /// for any frame of this shape on `id` reduces to counter bookkeeping
-  /// plus one channel forward — no SLEEP() queueing, no rule evaluation
-  /// (disarmed, or every bucketed rule guard-rejects the shape), no stored
-  /// monitor events, no redirect or suppression. The channel then calls
-  /// on_envelope_fast() per frame and forwards the envelope itself.
-  bool plan_fast(ConnectionId id, const chan::BatchShape& shape) const;
-  /// Counter mirror of one fast-pathed frame (pairs with plan_fast()).
-  void on_envelope_fast(ConnectionId id);
 
   /// Arms an attack: the executor starts at σ_start with fresh storage.
   /// Both referents must outlive the injector or a later disarm().
@@ -90,9 +83,6 @@ class RuntimeInjector {
   void set_syscmd_handler(std::function<void(const std::string&, const std::string&)> handler);
 
   const InjectorStats& stats() const { return stats_; }
-  /// The id the next interposed message will receive (monitor taps use
-  /// this so observed-event ids agree with injector-assigned ids).
-  std::uint64_t peek_next_message_id() const { return next_message_id_; }
   /// Current attack state name; std::nullopt when disarmed.
   std::optional<std::string> current_state() const;
   const AttackExecutor* executor() const { return executor_.get(); }
@@ -103,11 +93,21 @@ class RuntimeInjector {
     chan::EnvelopeSink to_switch;
     bool tls{false};
     /// Set by attach_channel(): suppression verdicts are mirrored into the
-    /// channel's counters, and MessageObserved recording is left to the
-    /// channel's monitor-tap stage.
+    /// channel's counters.
     chan::Channel* channel{nullptr};
+
+    void send(chan::Direction direction, chan::Envelope&& envelope) const {
+      const chan::EnvelopeSink& sink =
+          direction == chan::Direction::ControllerToSwitch ? to_switch : to_controller;
+      if (sink) sink(std::move(envelope));
+    }
   };
 
+  /// on_envelope() for a known endpoint. The per-frame hops from the
+  /// channel's proxy sink to the endpoint's sink take the envelope by
+  /// rvalue reference: each by-value hop would move all of its ~280 bytes.
+  void interpose(ConnectionId id, const Endpoint& endpoint, chan::Direction direction,
+                 chan::Envelope&& envelope);
   void process_now(const lang::InFlightMessage& msg);
   void deliver(const OutMessage& out);
   lang::InFlightMessage make_in_flight(ConnectionId id, chan::Direction direction,

@@ -1,17 +1,19 @@
 // The unified control-channel pipeline. One Channel models one switch <->
 // controller control connection routed through the interposition point:
 //
-//   switch ==pipe==> [proxy point: stage 0 -> stage 1 -> ...] ==pipe==> controller
-//          <==pipe== [                 ...                  ] <==pipe==
+//   switch ==pipe==> [proxy point: seal, account, trace -> proxy sink] ==pipe==> controller
+//          <==pipe== [                      ...                      ] <==pipe==
 //
-// Both directions traverse the same ordered stage chain at the proxy point.
-// A stage observes (monitor tap, trace) and passes the envelope to `next`,
-// or consumes it (the injector proxy stage) and later re-enters the channel
-// through forward() — possibly on a different channel, which is how
-// redirected messages travel. Endpoints attach as envelope sinks, so the
-// whole path is typed: the frame is encoded once (at the first pipe hop)
-// and decoded at most once, instead of the encode/decode/decode round-trip
-// the previous std::function<void(Bytes)> plumbing paid per frame.
+// Both directions cross the same proxy point. There the channel seals TLS
+// frames, does the codec accounting and appends a trace entry, then hands
+// the frame to one optional proxy sink (the runtime injector, §VI-B2). The
+// sink either passes the frame on through forward() — now, later, or on a
+// different channel, which is how redirected messages travel — or consumes
+// it. Without a sink the frame is forwarded unchanged. Endpoints attach as
+// envelope sinks, so the whole path is typed: the frame is encoded once (at
+// the first pipe hop) and decoded at most once, instead of the
+// encode/decode/decode round-trip the previous std::function<void(Bytes)>
+// plumbing paid per frame.
 //
 // Each channel keeps per-direction counters and a bounded trace ring that
 // sweep results can serialize; both are deterministic (virtual-time stamps
@@ -21,11 +23,9 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "attain/monitor/monitor.hpp"
 #include "chan/envelope.hpp"
 #include "common/arena.hpp"
 #include "common/json.hpp"
@@ -85,62 +85,19 @@ class TraceRing {
   std::uint64_t total_{0};
 };
 
-class Channel;
-
 /// A coalesced burst of envelopes sharing one delivery instant on one pipe
 /// (see sim::PayloadBatch and Pipe::set_batch_receiver).
 using EnvelopeBatch = sim::PayloadBatch<Envelope>;
 
-/// The frame shape a fast-path decision is made against: direction, TLS
-/// opacity, and (for readable frames) the decoded message type. Two frames
-/// with equal shapes are indistinguishable to every stage's plan_fast().
-struct BatchShape {
-  Direction direction{Direction::SwitchToController};
-  bool sealed{false};
-  std::optional<ofp::MsgType> type;  // absent for sealed/undecodable frames
-
-  friend bool operator==(const BatchShape&, const BatchShape&) = default;
-};
-
-/// One interposition stage at the channel's proxy point. on_envelope()
-/// receives every frame (both directions) and either passes it on via
-/// `next` (zero or more times; zero consumes it) or re-enters the channel
-/// later through Channel::forward().
-class Stage {
- public:
-  virtual ~Stage() = default;
-  virtual const char* name() const = 0;
-  virtual void on_envelope(Channel& channel, Direction direction, Envelope envelope,
-                           const EnvelopeSink& next) = 0;
-
-  /// Fast-path contract: return true when, for every frame matching
-  /// `shape`, this stage's on_envelope() is exactly equivalent to
-  /// on_envelope_fast() — same counters, same monitor effects, same
-  /// forwarding — with no event scheduling. The channel queries all stages
-  /// once per run of same-shaped frames in a batch and falls back to
-  /// on_envelope() whenever any stage declines, so the default is safely
-  /// "no fast path".
-  virtual bool plan_fast(Channel& channel, const BatchShape& shape) {
-    (void)channel;
-    (void)shape;
-    return false;
-  }
-  /// Only called for shapes plan_fast() accepted. Returns true to pass the
-  /// envelope to the next stage (the channel forward()s after the last
-  /// stage); false when the stage consumed it and owns all forwarding or
-  /// suppression accounting itself.
-  virtual bool on_envelope_fast(Channel& channel, Direction direction, Envelope& envelope) {
-    (void)channel;
-    (void)direction;
-    (void)envelope;
-    return true;
-  }
-};
+/// The proxy step at a channel's proxy point: receives every frame (both
+/// directions) and either passes it on through Channel::forward() or
+/// consumes it.
+using ProxySink = std::function<void(Direction, Envelope)>;
 
 struct ChannelConfig {
   std::string name{"chan"};
-  /// TLS connection: frames are sealed at the proxy point (stages cannot
-  /// read the payload) and unsealed at delivery.
+  /// TLS connection: frames are sealed at the proxy point (the proxy sink
+  /// cannot read the payload) and unsealed at delivery.
   bool tls{false};
   /// Per-hop pipe configuration (switch<->proxy and proxy<->controller
   /// segments — two hops per direction, as in the paper's deployment where
@@ -157,7 +114,6 @@ class Channel {
   Channel& operator=(const Channel&) = delete;
 
   const ChannelConfig& config() const { return config_; }
-  sim::Scheduler& scheduler() { return sched_; }
 
   // --- endpoint wiring -----------------------------------------------------
   /// Delivery sinks at the two ends (invoked after the egress pipe hop,
@@ -173,16 +129,15 @@ class Channel {
   EnvelopeSink switch_sender();
   EnvelopeSink controller_sender();
 
-  // --- stages --------------------------------------------------------------
-  /// Appends a stage to the proxy point; stages run in insertion order.
-  void add_stage(std::unique_ptr<Stage> stage);
-  std::size_t stage_count() const { return stages_.size(); }
+  // --- proxy point ---------------------------------------------------------
+  /// Installs the proxy step; without one, frames are forwarded unchanged.
+  void set_proxy_sink(ProxySink sink) { proxy_sink_ = std::move(sink); }
 
   /// Egress from the proxy point: sends the envelope down the pipe toward
-  /// the endpoint `direction` points at. Used by the injector stage (and
-  /// by the channel itself when the stage chain runs to completion).
+  /// the endpoint `direction` points at. Used by the proxy sink (and by the
+  /// channel itself when no sink is installed).
   void forward(Direction direction, Envelope envelope);
-  /// Accounting hook for a stage that consumed a frame.
+  /// Accounting hook for a proxy sink that consumed a frame.
   void note_suppressed(Direction direction);
 
   // --- observability -------------------------------------------------------
@@ -191,7 +146,6 @@ class Channel {
   }
   /// Both directions summed.
   DirectionCounters totals() const;
-  TraceRing& trace() { return trace_; }
   const TraceRing& trace() const { return trace_; }
 
   /// Deterministic JSON: {"name", "tls", "switch_to_controller": {...},
@@ -200,16 +154,10 @@ class Channel {
   std::string to_json() const;
 
  private:
-  /// Proxy-point ingress (the only one): per envelope, TLS sealing and
-  /// codec accounting, then one stage plan per run of same-shaped envelopes
-  /// instead of one dispatch chain per frame. A declined plan runs the
-  /// per-envelope stage chain for that envelope (and forces a replan, since
-  /// stage work may change injector state).
+  /// Proxy-point ingress (the only one): per envelope, TLS sealing, codec
+  /// accounting and the trace entry, then the proxy sink.
   void arrive_at_proxy_batch(Direction direction, EnvelopeBatch batch);
   void deliver_batch(Direction direction, EnvelopeBatch batch);
-  static BatchShape shape_of(Direction direction, const Envelope& envelope);
-  void run_fast(Direction direction, Envelope envelope);
-  void run_stage(std::size_t index, Direction direction, Envelope envelope);
   void deliver(Direction direction, Envelope envelope);
   DirectionCounters& dir_counters(Direction direction) {
     return counters_[static_cast<std::size_t>(direction)];
@@ -223,59 +171,12 @@ class Channel {
   sim::Pipe<Envelope> controller_to_proxy_;
   sim::Pipe<Envelope> proxy_to_controller_;
 
-  std::vector<std::unique_ptr<Stage>> stages_;
-  /// Pre-bound continuation sinks, one per (stage, direction): stage i's
-  /// `next` forwards to stage i+1. Built in add_stage() so the per-frame
-  /// dispatch constructs no std::function (the capture exceeds the
-  /// small-buffer size, so building one per frame was a heap round-trip).
-  std::vector<std::array<EnvelopeSink, 2>> next_sinks_;
+  ProxySink proxy_sink_;
   EnvelopeSink switch_sink_;
   EnvelopeSink controller_sink_;
 
   std::array<DirectionCounters, 2> counters_{};
   TraceRing trace_;
-};
-
-// ---------------------------------------------------------------------------
-// Stock stages.
-// ---------------------------------------------------------------------------
-
-/// Records a monitor::EventKind::MessageObserved event for every frame
-/// passing the proxy point (the §VI-B3 monitor attachment). `message_id`
-/// supplies the id the injector will assign to the frame (so tap events and
-/// injector events agree); defaults to 0 for standalone use.
-class MonitorTapStage : public Stage {
- public:
-  MonitorTapStage(monitor::Monitor& monitor, ConnectionId connection,
-                  std::function<std::uint64_t()> message_id = {});
-
-  const char* name() const override { return "monitor-tap"; }
-  void on_envelope(Channel& channel, Direction direction, Envelope envelope,
-                   const EnvelopeSink& next) override;
-
-  /// Fast when the monitor keeps counters only: tally_observed() bumps the
-  /// same kind/type/connection counters record() would, and the Event the
-  /// scalar path builds would be dropped anyway.
-  bool plan_fast(Channel& channel, const BatchShape& shape) override;
-  bool on_envelope_fast(Channel& channel, Direction direction, Envelope& envelope) override;
-
- private:
-  monitor::Monitor& monitor_;
-  ConnectionId connection_;
-  std::function<std::uint64_t()> message_id_;
-};
-
-/// Appends a TraceEntry to the channel's ring for every frame passing the
-/// proxy point.
-class TraceStage : public Stage {
- public:
-  const char* name() const override { return "trace"; }
-  void on_envelope(Channel& channel, Direction direction, Envelope envelope,
-                   const EnvelopeSink& next) override;
-
-  /// Always fast: the ring push is identical either way.
-  bool plan_fast(Channel& channel, const BatchShape& shape) override;
-  bool on_envelope_fast(Channel& channel, Direction direction, Envelope& envelope) override;
 };
 
 }  // namespace attain::chan

@@ -1,6 +1,6 @@
 // chan:: pipeline tests: envelope cache coherence (decode-once, lazy
 // re-encode, seal/unseal), the fuzzed-corpus round-trip property, the
-// shared ingress helper, stage composition, and the codec-op savings the
+// shared ingress helper, the proxy sink, and the codec-op savings the
 // decode-once path buys on the paper's Table II scenario.
 #include "chan/channel.hpp"
 
@@ -226,33 +226,8 @@ TEST(IngressDecode, SwitchStillAnswersGarbageWithBadRequest) {
 }
 
 // ---------------------------------------------------------------------------
-// Channel: transparency, stage composition, counters, trace.
+// Channel: transparency, the proxy sink, counters, trace.
 // ---------------------------------------------------------------------------
-
-/// Records every frame it sees, then passes it on.
-class RecordingStage : public Stage {
- public:
-  RecordingStage(std::vector<std::string>& order, std::string tag)
-      : order_(order), tag_(std::move(tag)) {}
-  const char* name() const override { return tag_.c_str(); }
-  void on_envelope(Channel&, Direction, Envelope envelope, const EnvelopeSink& next) override {
-    order_.push_back(tag_);
-    next(std::move(envelope));
-  }
-
- private:
-  std::vector<std::string>& order_;
-  std::string tag_;
-};
-
-/// Consumes every frame (never calls next).
-class BlackHoleStage : public Stage {
- public:
-  const char* name() const override { return "black-hole"; }
-  void on_envelope(Channel& channel, Direction direction, Envelope, const EnvelopeSink&) override {
-    channel.note_suppressed(direction);
-  }
-};
 
 TEST(Channel, StagelessChannelIsTransparentBothWays) {
   sim::Scheduler sched;
@@ -290,26 +265,11 @@ TEST(Channel, FrameArrivalIsDelayedByBothPipeHops) {
   EXPECT_LT(delivered_at, 310 * kMicrosecond);
 }
 
-TEST(Channel, StagesRunInInsertionOrderPerFrame) {
-  sim::Scheduler sched;
-  Channel channel(sched, {});
-  std::vector<std::string> order;
-  channel.add_stage(std::make_unique<RecordingStage>(order, "first"));
-  channel.add_stage(std::make_unique<RecordingStage>(order, "second"));
-  std::size_t delivered = 0;
-  channel.set_controller_sink([&](Envelope) { ++delivered; });
-
-  channel.send_from_switch(Envelope(ofp::make_message(1, ofp::Hello{})));
-  sched.run_until(kSecond);
-  EXPECT_EQ(order, (std::vector<std::string>{"first", "second"}));
-  EXPECT_EQ(delivered, 1u);
-  EXPECT_EQ(channel.stage_count(), 2u);
-}
-
 TEST(Channel, ConsumingStageSuppressesDelivery) {
   sim::Scheduler sched;
   Channel channel(sched, {});
-  channel.add_stage(std::make_unique<BlackHoleStage>());
+  // Consumes every frame (never forwards).
+  channel.set_proxy_sink([&](Direction direction, Envelope) { channel.note_suppressed(direction); });
   std::size_t delivered = 0;
   channel.set_controller_sink([&](Envelope) { ++delivered; });
 
@@ -325,20 +285,11 @@ TEST(Channel, TlsSealsAtProxyAndUnsealsAtDelivery) {
   ChannelConfig config;
   config.tls = true;
   Channel channel(sched, config);
-  bool stage_saw_plaintext = true;
-  class Probe : public Stage {
-   public:
-    explicit Probe(bool& saw) : saw_(saw) {}
-    const char* name() const override { return "probe"; }
-    void on_envelope(Channel&, Direction, Envelope envelope, const EnvelopeSink& next) override {
-      saw_ = envelope.message() != nullptr;
-      next(std::move(envelope));
-    }
-
-   private:
-    bool& saw_;
-  };
-  channel.add_stage(std::make_unique<Probe>(stage_saw_plaintext));
+  bool proxy_saw_plaintext = true;
+  channel.set_proxy_sink([&](Direction direction, Envelope envelope) {
+    proxy_saw_plaintext = envelope.message() != nullptr;
+    channel.forward(direction, std::move(envelope));
+  });
   std::size_t readable_deliveries = 0;
   channel.set_controller_sink([&](Envelope e) {
     if (e.message() != nullptr && !e.sealed()) ++readable_deliveries;
@@ -346,7 +297,7 @@ TEST(Channel, TlsSealsAtProxyAndUnsealsAtDelivery) {
 
   channel.send_from_switch(Envelope(ofp::make_message(1, ofp::Hello{})));
   sched.run_until(kSecond);
-  EXPECT_FALSE(stage_saw_plaintext);  // ciphertext at the proxy point
+  EXPECT_FALSE(proxy_saw_plaintext);  // ciphertext at the proxy point
   EXPECT_EQ(readable_deliveries, 1u);  // plaintext at the endpoint
 }
 
@@ -389,7 +340,6 @@ TEST(Channel, JsonSerializesCountersAndTrace) {
   ChannelConfig config;
   config.name = "s1<->c1";
   Channel channel(sched, config);
-  channel.add_stage(std::make_unique<TraceStage>());
   channel.set_controller_sink([](Envelope) {});
   channel.send_from_switch(Envelope(ofp::make_message(7, ofp::Hello{})));
   sched.run_until(kSecond);
