@@ -11,54 +11,26 @@
 //                    bench_json.hpp wrapper document is written with
 //                    per-message timings, rules/sec, guard skip rate, and
 //                    the steady-state allocation count of the compiled
-//                    path (expected: 0). tools/bench_baseline.py gates the
-//                    *_seconds metrics against the committed
-//                    BENCH_injector.json.
+//                    path (expected: 0; the binary links
+//                    common/alloc_hook.cpp for the count).
+//                    tools/bench_baseline.py gates the *_seconds
+//                    metrics against the committed BENCH_injector.json.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "attain/dsl/parser.hpp"
 #include "attain/inject/proxy.hpp"
 #include "bench_json.hpp"
+#include "common/alloc_hook.hpp"
 #include "ofp/codec.hpp"
 #include "packet/codec.hpp"
 #include "scenario/enterprise.hpp"
 
 using namespace attain;
-
-// ---------------------------------------------------------------------------
-// Global allocation counter: every operator new/delete in the binary bumps
-// it, so a loop's delta is exactly its heap traffic. The harness uses this
-// to prove the compiled evaluation path is allocation-free at steady state.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -267,6 +239,10 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 int run_harness(const std::string& json_path) {
+  if (!memhook::installed()) {
+    std::fprintf(stderr, "bench_injector_overhead must link common/alloc_hook.cpp\n");
+    return 1;
+  }
   const topo::SystemModel model = scenario::make_enterprise_model();
   const dsl::Document doc = dsl::parse_document(harness_rules_dsl(), model);
   const dsl::CompiledAttack attack = dsl::compile(doc.attacks.at(0), model, doc.capabilities);
@@ -328,7 +304,7 @@ int run_harness(const std::string& json_path) {
 
   const std::size_t rule_evals = kEvalPasses * kMessages * rules.size();
 
-  const std::uint64_t allocs_before = g_allocations.load(std::memory_order_relaxed);
+  const memhook::Window alloc_window = memhook::Window::open();
   auto t0 = std::chrono::steady_clock::now();
   std::uint64_t compiled_true = 0;
   for (std::size_t pass = 0; pass < kEvalPasses; ++pass) {
@@ -347,8 +323,7 @@ int run_harness(const std::string& json_path) {
     }
   }
   const double eval_compiled_s = seconds_since(t0);
-  const std::uint64_t eval_allocations =
-      g_allocations.load(std::memory_order_relaxed) - allocs_before;
+  const std::uint64_t eval_allocations = alloc_window.allocations();
 
   t0 = std::chrono::steady_clock::now();
   std::uint64_t tree_true = 0;

@@ -69,7 +69,7 @@ CompiledAttack compile(const lang::Attack& attack, const topo::SystemModel& syst
                            system.name_of(rule.connection.sw) + ") requires capabilities " +
                            missing.to_string() + " the attacker was not granted");
       }
-      CompiledRule compiled_rule{rule, required};
+      CompiledRule compiled_rule{rule, required, {}, {}, false};
       if (rule.conditional) {
         compiled_rule.program = lang::Program::compile(*rule.conditional, program_env);
         compiled_rule.action_programs.reserve(rule.actions.size());

@@ -1,7 +1,7 @@
 // Counting replacement for the global allocation functions. See
 // alloc_hook.hpp for the opt-in contract: this TU is linked only into
-// binaries that measure allocations (the test suite, bench_memory), never
-// into attain_lib itself.
+// binaries that measure allocations (the test suite, bench_memory,
+// bench_injector_overhead), never into attain_lib itself.
 //
 // The replacements forward to malloc/free, so they compose with
 // sanitizers' malloc interposition (ASan still sees every byte) and with

@@ -62,7 +62,8 @@ void expect_status_matches_oracle(const Expr& expr, const EvalContext& ctx,
 TEST(ProgramGuard, TypeEqualityNarrowsToOneType) {
   const auto expr = Expr::binary(BinaryOp::Eq, Expr::prop(Property::Type),
                                  Expr::literal_int(kFlowMod));
-  const Guard& g = Program::compile(*expr).guard();
+  const Program program = Program::compile(*expr);
+  const Guard& g = program.guard();
   EXPECT_EQ(g.type_mask, 1u << kFlowMod);
   EXPECT_FALSE(g.undecodable_ok);  // reading msg.type needs a decoded payload
   EXPECT_EQ(g.direction_mask, 0b11);
@@ -88,7 +89,8 @@ TEST(ProgramGuard, FieldAccessRequiresCarryingType) {
   // "buffer_id" exists on FLOW_MOD, PACKET_IN, and PACKET_OUT only.
   const auto expr = Expr::binary(BinaryOp::Eq, Expr::field("buffer_id"),
                                  Expr::literal_int(1));
-  const Guard& g = Program::compile(*expr).guard();
+  const Program program = Program::compile(*expr);
+  const Guard& g = program.guard();
   EXPECT_FALSE(g.undecodable_ok);
   EXPECT_TRUE((g.type_mask >> static_cast<unsigned>(ofp::MsgType::FlowMod)) & 1u);
   EXPECT_TRUE((g.type_mask >> static_cast<unsigned>(ofp::MsgType::PacketIn)) & 1u);
@@ -99,7 +101,8 @@ TEST(ProgramGuard, FieldAccessRequiresCarryingType) {
 TEST(ProgramGuard, UnknownFieldAdmitsNothing) {
   const auto expr = Expr::binary(BinaryOp::Eq, Expr::field("no_such_field"),
                                  Expr::literal_int(1));
-  const Guard& g = Program::compile(*expr).guard();
+  const Program program = Program::compile(*expr);
+  const Guard& g = program.guard();
   EXPECT_EQ(g.type_mask, 0u);
   EXPECT_FALSE(g.undecodable_ok);
   EXPECT_FALSE(g.admits(make_msg(flow_mod_msg())));
@@ -109,7 +112,8 @@ TEST(ProgramGuard, DirectionEqualityNarrowsDirection) {
   const auto expr = Expr::binary(
       BinaryOp::Eq, Expr::prop(Property::Direction),
       Expr::literal_int(static_cast<std::int64_t>(Direction::ControllerToSwitch)));
-  const Guard& g = Program::compile(*expr).guard();
+  const Program program = Program::compile(*expr);
+  const Guard& g = program.guard();
   EXPECT_EQ(g.direction_mask,
             1u << static_cast<unsigned>(Direction::ControllerToSwitch));
   EXPECT_TRUE(g.undecodable_ok);  // metadata: readable even under TLS
@@ -120,7 +124,8 @@ TEST(ProgramGuard, DirectionEqualityNarrowsDirection) {
 TEST(ProgramGuard, TypeInSetUnitesMemberBits) {
   const auto expr = Expr::in_set(Expr::prop(Property::Type),
                                  {Value{kFlowMod}, Value{kEcho}});
-  const Guard& g = Program::compile(*expr).guard();
+  const Program program = Program::compile(*expr);
+  const Guard& g = program.guard();
   EXPECT_EQ(g.type_mask, (1u << kFlowMod) | (1u << kEcho));
 }
 
