@@ -281,10 +281,7 @@ SweepReport SweepRunner::run(const std::vector<scenario::RunSpec>& grid) const {
 
   const std::vector<WorkItem> items = plan_work_items(grid, options_.warm_start);
 
-  std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> completed{0};
-  std::atomic<std::size_t> warm_group_count{0};
-  std::atomic<std::size_t> warm_cell_count{0};
   std::mutex progress_mutex;
 
   // Fires the cell's (single) progress notification; call exactly once per
@@ -302,7 +299,16 @@ SweepReport SweepRunner::run(const std::vector<scenario::RunSpec>& grid) const {
     }
   };
 
-  auto run_warm_item = [&](const WorkItem& item) {
+  // Every warm group forks, and fork() is only safe while no other thread
+  // runs: the child inherits any lock another thread holds (a 4-thread warm
+  // campaign hung on one under ASan). So warm items run here, before the
+  // pool starts; each group already runs its tails as parallel processes.
+  std::vector<std::size_t> cold;
+  for (const WorkItem& item : items) {
+    if (!item.warm) {
+      cold.push_back(item.cells.front());
+      continue;
+    }
     std::vector<scenario::RunSpec> cells;
     std::vector<CellOutcome*> outcomes;
     cells.reserve(item.cells.size());
@@ -313,40 +319,34 @@ SweepReport SweepRunner::run(const std::vector<scenario::RunSpec>& grid) const {
     }
     const std::size_t warm = run_warm_group(
         cells, outcomes, exec, [&](CellOutcome& cell, bool) { finalize(cell); });
-    warm_cell_count.fetch_add(warm);
-    if (warm > 0) warm_group_count.fetch_add(1);
-  };
+    report.warm_cells += warm;
+    if (warm > 0) ++report.warm_groups;
+    // run() marks boundaries for cold cells; warm tails complete in forked
+    // children, so mark the parent's boundary per group here.
+    mem::run_boundary();
+  }
 
+  std::atomic<std::size_t> next{0};
   auto worker = [&] {
     while (true) {
       const std::size_t i = next.fetch_add(1);
-      if (i >= items.size()) return;
-      const WorkItem& item = items[i];
-      if (item.warm) {
-        run_warm_item(item);
-        // run() marks boundaries for cold cells; warm tails complete in
-        // forked children, so mark the parent's boundary per group here.
-        mem::run_boundary();
-      } else {
-        CellOutcome& cell = report.cells[item.cells.front()];
-        run_cell_cold(cell, 1, exec);
-        finalize(cell);
-      }
+      if (i >= cold.size()) return;
+      CellOutcome& cell = report.cells[cold[i]];
+      run_cell_cold(cell, 1, exec);
+      finalize(cell);
     }
   };
 
-  if (report.threads <= 1 || items.size() <= 1) {
+  if (report.threads <= 1 || cold.size() <= 1) {
     worker();
   } else {
     std::vector<std::thread> pool;
-    const unsigned n = std::min<std::size_t>(report.threads, items.size());
+    const unsigned n = std::min<std::size_t>(report.threads, cold.size());
     pool.reserve(n);
     for (unsigned t = 0; t < n; ++t) pool.emplace_back(worker);
     for (std::thread& t : pool) t.join();
   }
 
-  report.warm_groups = warm_group_count.load();
-  report.warm_cells = warm_cell_count.load();
   report.wall_seconds = elapsed_seconds(sweep_start);
   return report;
 }

@@ -56,8 +56,9 @@ struct Progress {
 };
 
 struct SweepOptions {
-  /// Worker threads; 0 = std::thread::hardware_concurrency(). 1 runs the
-  /// grid inline on the calling thread.
+  /// Worker threads for cold cells; 0 = std::thread::hardware_concurrency().
+  /// 1 runs the grid inline on the calling thread. Warm-start groups always
+  /// run on the calling thread, before the pool starts (they fork).
   unsigned threads{0};
   /// Executions per cell before giving up (1 = no retry).
   unsigned max_attempts{1};

@@ -13,17 +13,23 @@
 // and FatTreeFloodAndSlowRate checks both — and the 2-worker distributed
 // runs warm-start inside the workers, the configuration of the campaign
 // benchmark workload (cold distributed runs are covered by
-// test_sweep_distributed.cpp). The warm-start SweepRunner stays on one
-// thread: a warm group forks, and forking while other sweep threads run
-// can leave the child holding a lock another thread had (seen as a hang
-// under ASan with four threads).
+// test_sweep_distributed.cpp). A warm group forks, and forking while other
+// sweep threads run can leave the child waiting on a lock another thread
+// held (a 4-thread warm campaign once hung under ASan). The runner now runs
+// warm groups on the calling thread before its pool starts;
+// Table2WarmStartOnFourThreads pins that under a wall-clock watchdog.
+#include <unistd.h>
+
 #include <algorithm>
+#include <csignal>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "golden_corpus.hpp"
 #include "scenario/experiment.hpp"
+#include "snap/snapshot.hpp"
 #include "sweep/distributed.hpp"
 #include "sweep/sweep.hpp"
 
@@ -80,7 +86,57 @@ void expect_distributed_matches_golden(const std::string& name) {
                         sweep::DistributedRunner(options).run(golden::document(name).grid()).sweep);
 }
 
+/// Ends the test process with a message once the scope has run for
+/// `seconds` of wall time, so a hang fails instead of blocking the run.
+/// SIGALRM rather than a thread: a watchdog thread would itself be running
+/// during the forks under test. Forked children do not inherit the alarm.
+class Watchdog {
+ public:
+  explicit Watchdog(unsigned seconds) : previous_(std::signal(SIGALRM, &expire)) {
+    alarm(seconds);
+  }
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+  ~Watchdog() {
+    alarm(0);
+    std::signal(SIGALRM, previous_);
+  }
+
+ private:
+  static void expire(int) {
+    static const char kMessage[] = "watchdog: wall-clock budget exceeded (hung?)\n";
+    [[maybe_unused]] const ssize_t n = write(STDERR_FILENO, kMessage, sizeof kMessage - 1);
+    _exit(1);
+  }
+
+  void (*const previous_)(int);
+};
+
 TEST(GoldenCorpus, Table2) { expect_cold_matches_golden("table2"); }
+
+TEST(GoldenCorpus, Table2WarmStartOnFourThreads) {
+  const Watchdog watchdog(600);
+  sweep::SweepOptions options;
+  options.threads = 4;
+  options.warm_start = true;
+  // Each cell's outcome is final on the thread that ran it; a warm cell
+  // finishing off the calling thread means its group forked from a pool
+  // thread while others ran.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t off_caller = 0;
+  options.on_progress = [&](const sweep::Progress&) {
+    if (std::this_thread::get_id() != caller) ++off_caller;
+  };
+  const sweep::SweepReport report =
+      sweep::SweepRunner(options).run(golden::document("table2").grid());
+  expect_matches_golden("table2", report);
+  // Every cell shares a warm-up with its other fail mode, so all of them
+  // come from forks wherever forking is available.
+  if (snap::fork_supported()) {
+    EXPECT_EQ(report.warm_cells, report.cells.size());
+    EXPECT_EQ(off_caller, 0u);
+  }
+}
 
 TEST(GoldenCorpus, Fig11) { expect_cold_matches_golden("fig11"); }
 
