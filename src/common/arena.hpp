@@ -147,6 +147,13 @@ class SlabPool {
 
   explicit SlabPool(std::size_t first_block_size = Arena::kDefaultBlockSize)
       : arena_(first_block_size) {}
+  /// Frees the blocks parked on the oversize freelist (the size classes
+  /// live in the arena, which frees itself). Blocks still handed out are
+  /// the caller's to return first.
+  ~SlabPool();
+  // Owns raw blocks through the freelists.
+  SlabPool(const SlabPool&) = delete;
+  SlabPool& operator=(const SlabPool&) = delete;
 
   void* allocate(std::size_t size);
   void deallocate(void* p, std::size_t size);
