@@ -1,8 +1,7 @@
 #include "snap/snapshot.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <chrono>
+#include <array>
 #include <cstdio>
 #include <numeric>
 
@@ -26,47 +25,6 @@
 
 namespace attain::snap {
 
-namespace {
-
-constexpr std::uint32_t kMagic = 0x534E4150;  // "SNAP"
-constexpr std::uint8_t kVersion = 1;
-
-/// Outcome blob a tail ships over its pipe: magic, version, ok flag, wall
-/// seconds, error text, optional scenario::save_result payload.
-Bytes encode_outcome(bool ok, const std::string& error, double wall,
-                     const scenario::RunResult* result) {
-  ByteWriter w;
-  w.u32(kMagic);
-  w.u8(kVersion);
-  w.u8(ok ? 1 : 0);
-  w.u64(std::bit_cast<std::uint64_t>(wall));
-  w.u32(static_cast<std::uint32_t>(error.size()));
-  w.raw({reinterpret_cast<const std::uint8_t*>(error.data()), error.size()});
-  w.u8(result != nullptr ? 1 : 0);
-  if (result != nullptr) scenario::save_result(*result, w);
-  return std::move(w).take();
-}
-
-TailOutcome decode_outcome(const Bytes& blob) {
-  TailOutcome out;
-  try {
-    ByteReader r(blob);
-    if (r.u32() != kMagic || r.u8() != kVersion) return TailOutcome{};
-    out.ok = r.u8() != 0;
-    out.wall_seconds = std::bit_cast<double>(r.u64());
-    const std::uint32_t len = r.u32();
-    const auto err = r.view(len);
-    out.error.assign(err.begin(), err.end());
-    if (r.u8() != 0) out.result = scenario::load_result(r);
-  } catch (const std::exception&) {
-    return TailOutcome{};  // truncated/garbled blob: incomplete
-  }
-  out.completed = true;
-  return out;
-}
-
-}  // namespace
-
 bool fork_supported() {
 #if !defined(ATTAIN_SNAP_POSIX)
   return false;
@@ -87,43 +45,39 @@ void wait_pid(pid_t pid) {
   }
 }
 
-/// Tail process body: finish the cell, ship the outcome, and _exit without
-/// running atexit handlers or flushing inherited stdio (the parent owns
-/// the process-global state; under ASan, _exit also skips the leak check,
-/// which is intentional for these short-lived forks).
-[[noreturn]] void run_tail(scenario::WarmupPhase& phase, const scenario::RunSpec& cell, int fd) {
-  Bytes blob;
+/// Tail process body: run the caller's tail body, ship its blob, and _exit
+/// without running atexit handlers or flushing inherited stdio (the parent
+/// owns the process-global state; under ASan, _exit also skips the leak
+/// check, which is intentional for these short-lived forks).
+[[noreturn]] void run_tail(const TailBody& tail, scenario::WarmupPhase& phase, std::size_t k,
+                           int fd) {
   try {
-    const auto t0 = std::chrono::steady_clock::now();
-    const scenario::RunResultPtr result = phase.finish(cell);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    blob = encode_outcome(true, "", wall, result.get());
-  } catch (const std::exception& e) {
-    blob = encode_outcome(false, e.what(), 0.0, nullptr);
+    // A failed write means the reader is gone; the parent sees a
+    // truncated blob and falls back to a cold run.
+    wire::write_exact(fd, tail(phase, k));
   } catch (...) {
-    blob = encode_outcome(false, "unknown exception", 0.0, nullptr);
+    // Nothing shipped: the parent sees an empty blob and runs the cell cold.
   }
-  // A failed write means the reader is gone; the parent sees a truncated
-  // blob and falls back to a cold run.
-  wire::write_exact(fd, blob);
   ::close(fd);
   ::_exit(0);
 }
 
 /// Group child body: builds the shared warm-up once, advances monotonically
-/// through the cells' fork times (cells_by_fork is sorted), and forks one
-/// tail per cell at its fork point. Copy-on-write makes each fork free
-/// until the tail's trajectory diverges. `write_fds` is parallel to
-/// `cells_by_fork`; the read ends are already closed in this process.
+/// through the cells' fork times (`order` lists the cells by fork time),
+/// and forks one tail per cell at its fork point. Copy-on-write makes each
+/// fork free until the tail's trajectory diverges. The pipes' read ends
+/// are already closed in this process.
 [[noreturn]] void run_group_child(const scenario::RunSpec& rep,
-                                  const std::vector<const scenario::RunSpec*>& cells_by_fork,
-                                  const std::vector<int>& write_fds, int max_live) {
+                                  const std::vector<scenario::RunSpec>& cells,
+                                  const std::vector<std::size_t>& order,
+                                  const std::vector<std::array<int, 2>>& pipes, int max_live,
+                                  const TailBody& tail) {
   std::vector<pid_t> live;
   try {
     const scenario::WarmupPhasePtr phase = scenario::warm_up(rep);
-    for (std::size_t i = 0; i < cells_by_fork.size(); ++i) {
-      phase->advance_to(scenario::fork_time(*cells_by_fork[i]));
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const std::size_t k = order[i];
+      phase->advance_to(scenario::fork_time(cells[k]));
       if (static_cast<int>(live.size()) >= max_live) {
         wait_pid(live.front());
         live.erase(live.begin());
@@ -131,12 +85,12 @@ void wait_pid(pid_t pid) {
       std::fflush(nullptr);
       const pid_t pid = ::fork();
       if (pid == 0) {
-        // Tail: drop the other cells' pipes (ours is the only write end
+        // Tail: drop the later cells' pipes (ours is the only write end
         // that may stay open, or their readers would never see EOF).
-        for (std::size_t j = i + 1; j < write_fds.size(); ++j) ::close(write_fds[j]);
-        run_tail(*phase, *cells_by_fork[i], write_fds[i]);
+        for (std::size_t j = i + 1; j < order.size(); ++j) ::close(pipes[order[j]][1]);
+        run_tail(tail, *phase, k, pipes[k][1]);
       }
-      ::close(write_fds[i]);
+      ::close(pipes[k][1]);
       if (pid > 0) live.push_back(pid);
       // On fork failure the cell's pipe EOFs with no blob: the parent
       // falls back to a cold run.
@@ -150,11 +104,11 @@ void wait_pid(pid_t pid) {
 
 }  // namespace
 
-std::vector<TailOutcome> run_group(const scenario::RunSpec& rep,
-                                   const std::vector<scenario::RunSpec>& cells,
-                                   const GroupOptions& options) {
-  std::vector<TailOutcome> outcomes(cells.size());
-  if (!fork_supported() || cells.empty()) return outcomes;
+std::vector<Bytes> run_group(const scenario::RunSpec& rep,
+                             const std::vector<scenario::RunSpec>& cells, int max_live_tails,
+                             const TailBody& tail) {
+  std::vector<Bytes> blobs(cells.size());
+  if (!fork_supported() || cells.empty()) return blobs;
 
   // One pipe per cell, created up front so a partial failure can unwind.
   std::vector<std::array<int, 2>> pipes(cells.size(), {-1, -1});
@@ -164,7 +118,7 @@ std::vector<TailOutcome> run_group(const scenario::RunSpec& rep,
         if (q[0] >= 0) ::close(q[0]);
         if (q[1] >= 0) ::close(q[1]);
       }
-      return outcomes;
+      return blobs;
     }
   }
 
@@ -176,46 +130,35 @@ std::vector<TailOutcome> run_group(const scenario::RunSpec& rep,
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return scenario::fork_time(cells[a]) < scenario::fork_time(cells[b]);
   });
-  std::vector<const scenario::RunSpec*> cells_by_fork;
-  std::vector<int> write_fds;
-  cells_by_fork.reserve(cells.size());
-  write_fds.reserve(cells.size());
-  for (const std::size_t k : order) {
-    cells_by_fork.push_back(&cells[k]);
-    write_fds.push_back(pipes[k][1]);
-  }
 
   std::fflush(nullptr);
   const pid_t child = ::fork();
   if (child == 0) {
     for (const auto& p : pipes) ::close(p[0]);
-    run_group_child(rep, cells_by_fork, write_fds, std::max(1, options.max_live_tails));
+    run_group_child(rep, cells, order, pipes, std::max(1, max_live_tails), tail);
   }
   for (const auto& p : pipes) ::close(p[1]);
   if (child < 0) {
     for (const auto& p : pipes) ::close(p[0]);
-    return outcomes;
+    return blobs;
   }
-  // Sequential drain is deadlock-free: each tail writes one bounded blob
-  // to its own pipe and blobs are far below the pipe buffer; no tail's
-  // progress depends on another pipe being drained first.
-  for (std::size_t k = 0; k < cells.size(); ++k) {
-    const Bytes blob = wire::read_stream(pipes[k][0]);
+  // Drain in fork order, the order the child forks and reaps its tails: a
+  // blob larger than the pipe buffer blocks its tail in write() until it
+  // is read, and the child, at its live-tail bound, waits for the oldest
+  // tail before forking the next. Reading any other pipe first deadlocks.
+  for (const std::size_t k : order) {
+    blobs[k] = wire::read_stream(pipes[k][0]);
     ::close(pipes[k][0]);
-    if (!blob.empty()) outcomes[k] = decode_outcome(blob);
   }
   wait_pid(child);
-  return outcomes;
+  return blobs;
 }
 
 #else  // !ATTAIN_SNAP_POSIX
 
-std::vector<TailOutcome> run_group(const scenario::RunSpec& rep,
-                                   const std::vector<scenario::RunSpec>& cells,
-                                   const GroupOptions& options) {
-  (void)rep;
-  (void)options;
-  return std::vector<TailOutcome>(cells.size());
+std::vector<Bytes> run_group(const scenario::RunSpec&, const std::vector<scenario::RunSpec>& cells,
+                             int, const TailBody&) {
+  return std::vector<Bytes>(cells.size());
 }
 
 #endif

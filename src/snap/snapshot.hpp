@@ -7,7 +7,9 @@
 // shared warm-up once, then forks one tail process per cell at that cell's
 // fork point. Every address is preserved across fork, so the captured
 // pointers stay valid, and pages are only copied as the diverging tails
-// write to them.
+// write to them. Each tail ships one blob back over its own pipe; what the
+// blob holds is the caller's business (sweep::run_warm_group sends a
+// cell-outcome record, sweep/sweep.hpp).
 //
 // Because scenario::run() is itself implemented as warm_up + advance_to +
 // finish (scenario/run.hpp), a forked tail executes the exact instruction
@@ -16,47 +18,36 @@
 // full Table II and Fig. 11 grids.
 #pragma once
 
-#include <string>
+#include <functional>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "scenario/run.hpp"
 
 namespace attain::snap {
 
 /// True when process-fork snapshots work here: a POSIX host, not running
 /// under ThreadSanitizer (fork from a threaded parent is unreliable under
-/// TSan). When false, run_group reports every cell incomplete and callers
-/// fall back to cold runs.
+/// TSan). When false, run_group returns an empty blob for every cell and
+/// callers fall back to cold runs.
 bool fork_supported();
 
-/// One forked cell's outcome as reported by its tail process.
-struct TailOutcome {
-  /// False when the tail never reported (fork/pipe failure, crashed
-  /// child): infrastructure trouble, not a cell failure — the caller runs
-  /// the cell cold and the attempt is not counted.
-  bool completed{false};
-  /// Valid when completed: whether the cell finished clean. When false,
-  /// `error` carries the cell's exception text and the failure counts as a
-  /// regular attempt (the same exception a cold run would have thrown).
-  bool ok{false};
-  std::string error;
-  /// Tail wall-clock spent in finish(), as measured inside the tail.
-  double wall_seconds{0.0};
-  scenario::RunResultPtr result;
-};
-
-struct GroupOptions {
-  /// Upper bound on concurrently live tail processes for one group.
-  int max_live_tails{4};
-};
+/// What one forked tail process runs: finish cell `k` (an index into the
+/// group's `cells`) from the shared warm-up `phase`, and return the bytes
+/// to ship back to the group's parent. An exception, or an empty return,
+/// ships nothing.
+using TailBody = std::function<Bytes(scenario::WarmupPhase& phase, std::size_t k)>;
 
 /// Runs every cell of one warm-up group from a shared forked prefix.
 /// `rep` must be the group's warmup_representative and every cell must
-/// carry the same warmup_signature (and therefore a valid fork_time).
-/// Outcomes are indexed like `cells`. Never throws for infrastructure
-/// failures — affected cells simply come back incomplete.
-std::vector<TailOutcome> run_group(const scenario::RunSpec& rep,
-                                   const std::vector<scenario::RunSpec>& cells,
-                                   const GroupOptions& options = {});
+/// carry the same warmup_signature (and therefore a valid fork_time). At
+/// most `max_live_tails` tail processes are alive at once. Returns one
+/// blob per cell, indexed like `cells`: what the cell's tail body
+/// returned, or empty when the tail never reported (fork/pipe failure,
+/// crashed child, failed warm-up). The blob format belongs to the caller;
+/// this layer only moves bytes. Never throws for infrastructure failures.
+std::vector<Bytes> run_group(const scenario::RunSpec& rep,
+                             const std::vector<scenario::RunSpec>& cells, int max_live_tails,
+                             const TailBody& tail);
 
 }  // namespace attain::snap

@@ -1,15 +1,16 @@
 // EINTR-safe pipe I/O and length-prefixed framing: the wire layer under
-// both process-boundary protocols in the repository — the snapshot fork's
-// one-blob-per-pipe result shipping (snap/snapshot.cpp) and the distributed
-// campaign runner's multiplexed task/result streams (sweep/distributed.*).
+// every process boundary in the repository — the snapshot fork's
+// one-blob-per-pipe tail shipping (snap/snapshot.cpp), the distributed
+// campaign runner's multiplexed task/result streams (sweep/distributed.*)
+// and the campaign journal's records (sweep/journal.*).
 //
 // A frame is a big-endian u32 payload length followed by the payload
-// bytes. Result frames additionally end in an fnv1a64 digest of the
-// payload (appended by the *sender* inside the payload it frames — see
-// sweep/distributed.cpp), so a corrupted frame is distinguishable from a
-// merely short read. The framing itself only guarantees message
-// boundaries; Eof at a frame boundary is a clean shutdown, anything else
-// (partial header, partial payload, oversize length) is Error.
+// bytes. The framing only guarantees message boundaries; Eof at a frame
+// boundary is a clean shutdown, anything else (partial header, partial
+// payload, oversize length) is Error. Distributed frames and journal
+// records are also sealed: seal() appends an fnv1a64 digest of the body
+// inside the payload, so a corrupted frame is distinguishable from a
+// merely short read. What the bodies hold is the caller's business.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +20,9 @@
 
 namespace attain::snap::wire {
 
-/// Upper bound on one frame's payload. Far above any real result blob
-/// (the largest RunResult encodings are a few KiB); a length beyond this
-/// is treated as stream corruption, not an allocation request.
+/// Upper bound on one frame's payload. Far above any real result blob (a
+/// Fig. 11 cell with 8000 ping trials encodes to about 150 KiB); a length
+/// beyond this is treated as stream corruption, not an allocation request.
 inline constexpr std::size_t kMaxFramePayload = 64u << 20;
 
 /// Writes all of `data`, retrying on EINTR. Returns false when the write

@@ -1,7 +1,6 @@
 #include "sweep/distributed.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -45,9 +44,8 @@ double elapsed_seconds(Clock::time_point start) {
 constexpr std::uint8_t kTaskMsg = 1;
 
 // Result frames (worker -> coordinator), sealed:
-//   u8 kCellMsg | u32 item_id | u32 cell_index | u8 status | u8 warm
-//     | u32 attempts | u64 wall_bits | u64 allocations | u64 slab_reserved
-//     | u32 error_len | error bytes | u8 has_result | [save_result bytes]
+//   u8 kCellMsg | u32 item_id | cell-outcome record (write_outcome)
+//     | u64 allocations | u64 slab_reserved
 //   u8 kItemMsg | u32 item_id | u32 warm_cells
 // Cells stream as they finish (one frame each); the item frame marks the
 // whole work item retired, which is what opens the dispatch window again.
@@ -88,37 +86,28 @@ bool claim_sentinel(const char* path) {
 /// downgrades the cell to Failed with an explanatory error rather than
 /// corrupting the stream. Returns false when the coordinator is gone.
 bool ship_cell(int fd, std::uint32_t item_id, std::uint32_t cell_index, const CellOutcome& cell,
-               bool warm, const FaultHooks& hooks) {
-  ByteWriter result_bytes;
-  bool has_result = false;
-  CellStatus status = cell.status;
-  std::string error = cell.error;
-  if (cell.result) {
-    try {
-      scenario::save_result(*cell.result, result_bytes);
-      has_result = true;
-    } catch (const std::exception& e) {
-      status = CellStatus::Failed;
-      error = std::string("distributed: result type cannot cross the process boundary: ") +
-              e.what();
-    }
-  }
-
+               const FaultHooks& hooks) {
+  auto frame = [&](const CellOutcome& outcome) {
+    ByteWriter w;
+    w.u8(kCellMsg);
+    w.u32(item_id);
+    write_outcome(w, cell_index, outcome);
+    w.u64(cell.worker_allocations);
+    w.u64(cell.worker_slab_reserved);
+    return w;
+  };
   ByteWriter w;
-  w.reserve(64 + error.size() + result_bytes.size());
-  w.u8(kCellMsg);
-  w.u32(item_id);
-  w.u32(cell_index);
-  w.u8(static_cast<std::uint8_t>(status));
-  w.u8(warm ? 1 : 0);
-  w.u32(cell.attempts);
-  w.u64(std::bit_cast<std::uint64_t>(cell.wall_seconds));
-  w.u64(cell.worker_allocations);
-  w.u64(cell.worker_slab_reserved);
-  w.u32(static_cast<std::uint32_t>(error.size()));
-  w.raw({reinterpret_cast<const std::uint8_t*>(error.data()), error.size()});
-  w.u8(has_result ? 1 : 0);
-  if (has_result) w.raw(result_bytes.bytes());
+  try {
+    w = frame(cell);
+  } catch (const std::exception& e) {
+    CellOutcome failed;
+    failed.status = CellStatus::Failed;
+    failed.attempts = cell.attempts;
+    failed.wall_seconds = cell.wall_seconds;
+    failed.error =
+        std::string("distributed: result type cannot cross the process boundary: ") + e.what();
+    w = frame(failed);
+  }
   Bytes payload = snap::wire::seal(std::move(w));
 
   if (claim_sentinel(hooks.corrupt_sentinel)) {
@@ -187,15 +176,14 @@ bool ship_cell(int fd, std::uint32_t item_id, std::uint32_t cell_index, const Ce
         outcomes[k].spec = grid[indices[k]];
         ptrs.push_back(&outcomes[k]);
       }
-      warm_results =
-          run_warm_group(cells, ptrs, exec, [&](CellOutcome& cell, bool warm) {
-            const std::size_t pos = static_cast<std::size_t>(&cell - outcomes.data());
-            cell.worker_slab_reserved = mem::thread_slab().arena_stats().bytes_reserved;
-            if (ship_ok) {
-              ship_ok = ship_cell(result_fd, item_id,
-                                  static_cast<std::uint32_t>(indices[pos]), cell, warm, hooks);
-            }
-          });
+      warm_results = run_warm_group(cells, ptrs, exec, [&](CellOutcome& cell) {
+        const std::size_t pos = static_cast<std::size_t>(&cell - outcomes.data());
+        cell.worker_slab_reserved = mem::thread_slab().arena_stats().bytes_reserved;
+        if (ship_ok) {
+          ship_ok = ship_cell(result_fd, item_id, static_cast<std::uint32_t>(indices[pos]), cell,
+                              hooks);
+        }
+      });
     } else {
       for (const std::size_t idx : indices) {
         CellOutcome cell;
@@ -205,8 +193,7 @@ bool ship_cell(int fd, std::uint32_t item_id, std::uint32_t cell_index, const Ce
         cell.worker_allocations = window.allocations();
         cell.worker_slab_reserved = mem::thread_slab().arena_stats().bytes_reserved;
         if (ship_ok) {
-          ship_ok = ship_cell(result_fd, item_id, static_cast<std::uint32_t>(idx), cell,
-                              /*warm=*/false, hooks);
+          ship_ok = ship_cell(result_fd, item_id, static_cast<std::uint32_t>(idx), cell, hooks);
         }
       }
     }
@@ -262,18 +249,14 @@ DistributedReport DistributedRunner::run(const std::vector<scenario::RunSpec>& g
     if (options_.resume) {
       if (std::FILE* probe = std::fopen(options_.journal_path.c_str(), "rb")) {
         std::fclose(probe);
-        std::vector<CampaignJournal::LoadedCell> loaded;
+        std::vector<OutcomeRecord> loaded;
         journal = CampaignJournal::resume(options_.journal_path, digest, grid.size(), loaded);
-        for (CampaignJournal::LoadedCell& lc : loaded) {
-          if (lc.index >= grid.size()) continue;
-          CellOutcome& cell = report.sweep.cells[lc.index];
-          cell.status = lc.outcome.status;
-          cell.error = std::move(lc.outcome.error);
-          cell.attempts = lc.outcome.attempts;
-          cell.wall_seconds = lc.outcome.wall_seconds;
-          cell.result = std::move(lc.outcome.result);
-          if (!done[lc.index]) ++report.resumed_cells;
-          done[lc.index] = true;
+        for (OutcomeRecord& rec : loaded) {
+          CellOutcome& cell = report.sweep.cells[rec.index];
+          rec.outcome.spec = std::move(cell.spec);
+          cell = std::move(rec.outcome);
+          if (!done[rec.index]) ++report.resumed_cells;
+          done[rec.index] = true;
         }
         resumed = true;
       }
@@ -380,25 +363,15 @@ DistributedReport DistributedRunner::run(const std::vector<scenario::RunSpec>& g
         }
         if (tag != kCellMsg) return false;
         const std::uint32_t item_id = r.u32();
-        const std::size_t idx = r.u32();
+        OutcomeRecord rec = read_outcome(r);
+        rec.outcome.worker_allocations = r.u64();
+        rec.outcome.worker_slab_reserved = r.u64();
+        const std::size_t idx = rec.index;
         if (item_id >= item_cells.size() || idx >= grid.size()) return false;
-        CellOutcome cell;
-        const std::uint8_t status = r.u8();
-        if (status > static_cast<std::uint8_t>(CellStatus::TimedOut)) return false;
-        r.u8();  // warm flag: group warm accounting arrives in the item frame
-        cell.attempts = r.u32();
-        cell.wall_seconds = std::bit_cast<double>(r.u64());
-        cell.worker_allocations = r.u64();
-        cell.worker_slab_reserved = r.u64();
-        const std::uint32_t err_len = r.u32();
-        const auto err = r.view(err_len);
-        cell.error.assign(err.begin(), err.end());
-        if (r.u8() != 0) cell.result = scenario::load_result(r);
-        cell.status = static_cast<CellStatus>(status);
         std::erase(item_pending[item_id], idx);
         if (!done[idx]) {
-          cell.spec = std::move(report.sweep.cells[idx].spec);
-          report.sweep.cells[idx] = std::move(cell);
+          rec.outcome.spec = std::move(report.sweep.cells[idx].spec);
+          report.sweep.cells[idx] = std::move(rec.outcome);
           finalize_cell(idx);
         }
         return true;
@@ -722,22 +695,7 @@ std::string DistributedReport::to_json() const {
   w.field("journal_records", static_cast<std::uint64_t>(journal_records));
   w.end_object();
   w.key("cells").begin_array();
-  for (const CellOutcome& c : sweep.cells) {
-    w.begin_object();
-    w.key("spec");
-    c.spec.write_json(w);
-    w.field("status", to_string(c.status));
-    if (!c.error.empty()) w.field("error", c.error);
-    w.field("attempts", static_cast<std::uint64_t>(c.attempts));
-    w.field("wall_seconds", c.wall_seconds);
-    w.key("result");
-    if (c.result) {
-      c.result->write_json(w);
-    } else {
-      w.null();
-    }
-    w.end_object();
-  }
+  for (const CellOutcome& c : sweep.cells) c.write_json(w, /*timing=*/true);
   w.end_array();
   w.end_object();
   return w.str();

@@ -1,6 +1,5 @@
 #include "sweep/journal.hpp"
 
-#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -77,7 +76,7 @@ CampaignJournal CampaignJournal::create(const std::string& path, std::uint64_t c
 
 CampaignJournal CampaignJournal::resume(const std::string& path, std::uint64_t campaign_digest,
                                         std::size_t cell_count,
-                                        std::vector<LoadedCell>& loaded) {
+                                        std::vector<OutcomeRecord>& loaded) {
   const int fd = ::open(path.c_str(), O_RDWR);
   if (fd < 0) {
     throw std::runtime_error("CampaignJournal: cannot open " + path + ": " +
@@ -113,30 +112,17 @@ CampaignJournal CampaignJournal::resume(const std::string& path, std::uint64_t c
     const snap::wire::FrameStatus status = snap::wire::read_frame(fd, payload);
     if (status != snap::wire::FrameStatus::Ok) break;
     if (!unseal(payload, body)) break;
-    LoadedCell cell;
     try {
       ByteReader r(body);
-      cell.index = r.u32();
-      const std::uint8_t status_byte = r.u8();
-      if (status_byte > static_cast<std::uint8_t>(CellStatus::TimedOut)) {
-        throw DecodeError("CampaignJournal: unknown cell status " + std::to_string(status_byte));
-      }
-      cell.outcome.status = static_cast<CellStatus>(status_byte);
-      cell.outcome.attempts = r.u32();
-      cell.outcome.wall_seconds = std::bit_cast<double>(r.u64());
-      const std::uint32_t err_len = r.u32();
-      const auto err = r.view(err_len);
-      cell.outcome.error.assign(err.begin(), err.end());
-      if (r.u8() != 0) cell.outcome.result = scenario::load_result(r);
+      OutcomeRecord rec = read_outcome(r);
       const std::uint64_t recorded_digest = r.u64();
       const std::uint64_t actual_digest =
-          cell.outcome.result ? scenario::result_digest(*cell.outcome.result) : 0;
-      if (recorded_digest != actual_digest) break;
-      if (cell.index >= cell_count) break;
-    } catch (const std::exception&) {
+          rec.outcome.result ? scenario::result_digest(*rec.outcome.result) : 0;
+      if (recorded_digest != actual_digest || rec.index >= cell_count) break;
+      loaded.push_back(std::move(rec));
+    } catch (const DecodeError&) {
       break;  // malformed record body: drop it and everything after
     }
-    loaded.push_back(std::move(cell));
     good_end = ::lseek(fd, 0, SEEK_CUR);
   }
   if (::ftruncate(fd, good_end) != 0 || ::lseek(fd, good_end, SEEK_SET) < 0) {
@@ -148,25 +134,12 @@ CampaignJournal CampaignJournal::resume(const std::string& path, std::uint64_t c
 bool CampaignJournal::append(std::size_t cell_index, const CellOutcome& outcome) {
   if (fd_ < 0) return false;
   ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(cell_index));
-  w.u8(static_cast<std::uint8_t>(outcome.status));
-  w.u32(outcome.attempts);
-  w.u64(std::bit_cast<std::uint64_t>(outcome.wall_seconds));
-  w.u32(static_cast<std::uint32_t>(outcome.error.size()));
-  w.raw({reinterpret_cast<const std::uint8_t*>(outcome.error.data()), outcome.error.size()});
-  std::uint64_t digest = 0;
-  if (outcome.result != nullptr) {
-    w.u8(1);
-    try {
-      scenario::save_result(*outcome.result, w);
-      digest = scenario::result_digest(*outcome.result);
-    } catch (const std::invalid_argument&) {
-      return false;  // custom result type: not journalable, re-runs on resume
-    }
-  } else {
-    w.u8(0);
+  try {
+    write_outcome(w, cell_index, outcome);
+  } catch (const std::invalid_argument&) {
+    return false;  // custom result type: not journalable, re-runs on resume
   }
-  w.u64(digest);
+  w.u64(outcome.result ? scenario::result_digest(*outcome.result) : 0);
   return snap::wire::write_frame(fd_, seal(std::move(w)));
 }
 
@@ -179,7 +152,7 @@ CampaignJournal CampaignJournal::create(const std::string& path, std::uint64_t, 
 }
 
 CampaignJournal CampaignJournal::resume(const std::string& path, std::uint64_t, std::size_t,
-                                        std::vector<LoadedCell>&) {
+                                        std::vector<OutcomeRecord>&) {
   throw std::runtime_error("CampaignJournal: not supported on this platform (" + path + ")");
 }
 

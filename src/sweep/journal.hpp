@@ -3,13 +3,11 @@
 // outcome (status, attempts, error, binary result) plus content digests so
 // a torn or corrupted tail is detected and dropped instead of trusted.
 //
-// File layout (all integers big-endian, via snap::wire frames):
+// File layout (all integers big-endian, via sealed snap::wire frames):
 //
 //   header frame:  u32 'ATJL' | u8 version | u64 campaign_digest
 //                  | u32 cell_count | u64 fnv1a64(preceding body bytes)
-//   record frame:  u32 cell_index | u8 status | u32 attempts
-//                  | u64 wall_bits | u32 error_len | error bytes
-//                  | u8 has_result | [save_result bytes]
+//   record frame:  cell-outcome record (sweep::write_outcome)
 //                  | u64 result_digest | u64 fnv1a64(preceding body bytes)
 //
 // The campaign digest (scenario::grid_digest) binds the journal to one
@@ -32,11 +30,6 @@ namespace attain::sweep {
 
 class CampaignJournal {
  public:
-  struct LoadedCell {
-    std::size_t index;
-    CellOutcome outcome;  // spec left default; the caller owns specs
-  };
-
   CampaignJournal() = default;
   ~CampaignJournal();
   CampaignJournal(CampaignJournal&& other) noexcept;
@@ -54,7 +47,7 @@ class CampaignJournal {
   /// unreadable header), loads every intact record into `loaded`, truncates
   /// any torn/corrupt tail, and positions the journal for append.
   static CampaignJournal resume(const std::string& path, std::uint64_t campaign_digest,
-                                std::size_t cell_count, std::vector<LoadedCell>& loaded);
+                                std::size_t cell_count, std::vector<OutcomeRecord>& loaded);
 
   bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }

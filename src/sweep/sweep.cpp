@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <exception>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "attain/monitor/metrics.hpp"
@@ -34,12 +36,16 @@ std::string to_string(CellStatus status) {
   return "?";
 }
 
-void CellOutcome::write_json(JsonWriter& w) const {
+void CellOutcome::write_json(JsonWriter& w, bool timing) const {
   w.begin_object();
   w.key("spec");
   spec.write_json(w);
   w.field("status", to_string(status));
   if (!error.empty()) w.field("error", error);
+  if (timing) {
+    w.field("attempts", static_cast<std::uint64_t>(attempts));
+    w.field("wall_seconds", wall_seconds);
+  }
   w.key("result");
   if (result) {
     result->write_json(w);
@@ -47,6 +53,33 @@ void CellOutcome::write_json(JsonWriter& w) const {
     w.null();
   }
   w.end_object();
+}
+
+void write_outcome(ByteWriter& w, std::size_t index, const CellOutcome& outcome) {
+  w.u32(static_cast<std::uint32_t>(index));
+  w.u8(static_cast<std::uint8_t>(outcome.status));
+  w.u32(outcome.attempts);
+  w.u64(std::bit_cast<std::uint64_t>(outcome.wall_seconds));
+  w.u32(static_cast<std::uint32_t>(outcome.error.size()));
+  w.raw({reinterpret_cast<const std::uint8_t*>(outcome.error.data()), outcome.error.size()});
+  w.u8(outcome.result ? 1 : 0);
+  if (outcome.result) scenario::save_result(*outcome.result, w);
+}
+
+OutcomeRecord read_outcome(ByteReader& r) {
+  OutcomeRecord rec;
+  rec.index = r.u32();
+  const std::uint8_t status = r.u8();
+  if (status > static_cast<std::uint8_t>(CellStatus::TimedOut)) {
+    throw DecodeError("cell outcome: unknown status " + std::to_string(status));
+  }
+  rec.outcome.status = static_cast<CellStatus>(status);
+  rec.outcome.attempts = r.u32();
+  rec.outcome.wall_seconds = std::bit_cast<double>(r.u64());
+  const auto error = r.view(r.u32());
+  rec.outcome.error.assign(error.begin(), error.end());
+  if (r.u8() != 0) rec.outcome.result = scenario::load_result(r);
+  return rec;
 }
 
 std::function<void(const Progress&)> make_progress_printer() {
@@ -118,22 +151,7 @@ std::string SweepReport::to_json() const {
   w.field("warm_cells", static_cast<std::uint64_t>(warm_cells));
   w.end_object();
   w.key("cells").begin_array();
-  for (const CellOutcome& c : cells) {
-    w.begin_object();
-    w.key("spec");
-    c.spec.write_json(w);
-    w.field("status", to_string(c.status));
-    if (!c.error.empty()) w.field("error", c.error);
-    w.field("attempts", static_cast<std::uint64_t>(c.attempts));
-    w.field("wall_seconds", c.wall_seconds);
-    w.key("result");
-    if (c.result) {
-      c.result->write_json(w);
-    } else {
-      w.null();
-    }
-    w.end_object();
-  }
+  for (const CellOutcome& c : cells) c.write_json(w, /*timing=*/true);
   w.end_array();
   w.end_object();
   return w.str();
@@ -155,77 +173,87 @@ std::string SweepReport::summary() const {
   return out;
 }
 
+namespace {
+
+/// One attempt at a cell: `body` produces the result (a whole cold run, or
+/// a forked tail's finish()). Fills result/wall/error/status and returns
+/// whether the attempt succeeded; a failed attempt leaves status Failed.
+template <typename Body>
+bool run_attempt(CellOutcome& cell, Body&& body, const CellExecOptions& options) {
+  const auto start = Clock::now();
+  try {
+    cell.result = body();
+    cell.wall_seconds = elapsed_seconds(start);
+    cell.error.clear();
+    cell.status = (options.cell_timeout_seconds > 0.0 &&
+                   cell.wall_seconds > options.cell_timeout_seconds)
+                      ? CellStatus::TimedOut
+                      : CellStatus::Ok;
+    return true;
+  } catch (const std::exception& e) {
+    cell.error = e.what();
+  } catch (...) {
+    cell.error = "unknown exception";
+  }
+  cell.wall_seconds = elapsed_seconds(start);
+  cell.status = CellStatus::Failed;
+  cell.result.reset();
+  return false;
+}
+
+}  // namespace
+
 void run_cell_cold(CellOutcome& cell, unsigned first_attempt, const CellExecOptions& options) {
   const unsigned max_attempts = options.max_attempts > 0 ? options.max_attempts : 1;
   for (unsigned attempt = first_attempt; attempt <= max_attempts; ++attempt) {
     cell.attempts = attempt;
-    const auto start = Clock::now();
-    try {
-      cell.result = scenario::run(cell.spec);
-      cell.wall_seconds = elapsed_seconds(start);
-      cell.error.clear();
-      cell.status = (options.cell_timeout_seconds > 0.0 &&
-                     cell.wall_seconds > options.cell_timeout_seconds)
-                        ? CellStatus::TimedOut
-                        : CellStatus::Ok;
-      return;
-    } catch (const std::exception& e) {
-      cell.wall_seconds = elapsed_seconds(start);
-      cell.error = e.what();
-    } catch (...) {
-      cell.wall_seconds = elapsed_seconds(start);
-      cell.error = "unknown exception";
-    }
+    if (run_attempt(cell, [&] { return scenario::run(cell.spec); }, options)) return;
   }
-  cell.status = CellStatus::Failed;
-  cell.result.reset();
 }
 
 std::size_t run_warm_group(const std::vector<scenario::RunSpec>& cells,
-                          const std::vector<CellOutcome*>& outcomes,
-                          const CellExecOptions& options,
-                          const std::function<void(CellOutcome&, bool warm)>& on_final) {
+                           const std::vector<CellOutcome*>& outcomes,
+                           const CellExecOptions& options,
+                           const std::function<void(CellOutcome&)>& on_final) {
   const unsigned max_attempts = options.max_attempts > 0 ? options.max_attempts : 1;
-  snap::GroupOptions group_options;
-  group_options.max_live_tails = options.warm_tail_processes;
-  std::vector<snap::TailOutcome> tails =
-      snap::run_group(scenario::warmup_representative(cells.front()), cells, group_options);
+  const std::vector<Bytes> blobs = snap::run_group(
+      scenario::warmup_representative(cells.front()), cells, options.warm_tail_processes,
+      [&](scenario::WarmupPhase& phase, std::size_t k) {
+        CellOutcome tail;
+        tail.attempts = 1;
+        run_attempt(tail, [&] { return phase.finish(cells[k]); }, options);
+        ByteWriter w;
+        write_outcome(w, k, tail);
+        return std::move(w).take();
+      });
 
   std::size_t warm_cells = 0;
   for (std::size_t k = 0; k < cells.size(); ++k) {
     CellOutcome& cell = *outcomes[k];
-    snap::TailOutcome& out = tails[k];
-    bool warm = false;
-    if (out.completed && out.ok && out.result) {
-      warm = true;
-      ++warm_cells;
-      cell.attempts = 1;
-      cell.wall_seconds = out.wall_seconds;
-      cell.error.clear();
-      cell.result = std::move(out.result);
-      cell.status = (options.cell_timeout_seconds > 0.0 &&
-                     cell.wall_seconds > options.cell_timeout_seconds)
-                        ? CellStatus::TimedOut
-                        : CellStatus::Ok;
-    } else if (out.completed) {
-      // The cell itself threw inside the tail — the same exception a cold
-      // run would have raised, so it consumes attempt 1; any remaining
-      // budget runs cold.
-      cell.attempts = 1;
-      cell.wall_seconds = out.wall_seconds;
-      cell.error = out.error;
-      if (max_attempts > 1) {
-        run_cell_cold(cell, 2, options);
-      } else {
-        cell.status = CellStatus::Failed;
-        cell.result.reset();
-      }
-    } else {
+    std::optional<OutcomeRecord> rec;
+    try {
+      ByteReader r(blobs[k]);
+      rec = read_outcome(r);
+    } catch (const DecodeError&) {
+      // Empty (the tail never reported) or garbled.
+    }
+    if (!rec) {
       // Infrastructure failure (fork/pipe/crashed child), not a cell
       // failure: the full cold attempt budget applies.
       run_cell_cold(cell, 1, options);
+    } else {
+      rec->outcome.spec = std::move(cell.spec);
+      cell = std::move(rec->outcome);
+      if (cell.status != CellStatus::Failed) {
+        ++warm_cells;
+      } else if (max_attempts > 1) {
+        // The cell itself threw inside the tail — the same exception a
+        // cold run would have raised, so it consumed attempt 1; the
+        // remaining budget runs cold.
+        run_cell_cold(cell, 2, options);
+      }
     }
-    if (on_final) on_final(cell, warm);
+    if (on_final) on_final(cell);
   }
   return warm_cells;
 }
@@ -317,8 +345,7 @@ SweepReport SweepRunner::run(const std::vector<scenario::RunSpec>& grid) const {
       cells.push_back(grid[i]);
       outcomes.push_back(&report.cells[i]);
     }
-    const std::size_t warm = run_warm_group(
-        cells, outcomes, exec, [&](CellOutcome& cell, bool) { finalize(cell); });
+    const std::size_t warm = run_warm_group(cells, outcomes, exec, finalize);
     report.warm_cells += warm;
     if (warm > 0) ++report.warm_groups;
     // run() marks boundaries for cold cells; warm tails complete in forked

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/types.hpp"
 #include "scenario/run.hpp"
 
@@ -45,9 +46,36 @@ struct CellOutcome {
   std::uint64_t worker_allocations{0};
   std::uint64_t worker_slab_reserved{0};
 
-  /// Deterministic JSON for this cell: spec + status + result, no timing.
-  void write_json(JsonWriter& w) const;
+  /// JSON for this cell: spec + status + result. Deterministic unless
+  /// `timing` adds the wall-clock fields (attempts, wall_seconds).
+  void write_json(JsonWriter& w, bool timing = false) const;
 };
+
+/// A cell outcome as read back from a process boundary, with the grid
+/// index it was written under. The spec is left default: the reader's
+/// side owns the specs.
+struct OutcomeRecord {
+  std::size_t index{0};
+  CellOutcome outcome;
+};
+
+/// The one binary record for a finished cell, written wherever an outcome
+/// crosses a process boundary: a warm tail reporting to its group's parent
+/// (run_warm_group), a distributed worker streaming to its coordinator
+/// (sweep/distributed.cpp), and each campaign journal record
+/// (sweep/journal.hpp). All integers big-endian:
+///
+///   u32 index | u8 status | u32 attempts | u64 wall_bits
+///   | u32 error_len | error bytes | u8 has_result | [save_result bytes]
+///
+/// Throws std::invalid_argument when the result has no binary codec
+/// (custom result types); `w` is then left partially written.
+void write_outcome(ByteWriter& w, std::size_t index, const CellOutcome& outcome);
+
+/// Reads one record written by write_outcome. Throws DecodeError on a
+/// short record, an unknown status byte or an undecodable result; nothing
+/// else escapes.
+OutcomeRecord read_outcome(ByteReader& r);
 
 struct Progress {
   std::size_t completed{0};
@@ -154,17 +182,18 @@ struct CellExecOptions {
 void run_cell_cold(CellOutcome& cell, unsigned first_attempt, const CellExecOptions& options);
 
 /// Runs one warm-signature group from a shared COW snapshot fork
-/// (snap::run_group), applying SweepRunner's fallback semantics per cell:
-/// a tail that reported a cell exception consumes attempt 1 and retries
-/// cold; a tail that never reported (infrastructure failure) re-runs cold
+/// (snap::run_group). Each tail runs the same attempt run_cell_cold does,
+/// on its forked warm-up, and ships the outcome as a write_outcome record.
+/// Per cell: a tail that reported a cell exception (status Failed)
+/// consumes attempt 1 and retries cold; a tail that never reported, or
+/// whose record does not decode (infrastructure failure), re-runs cold
 /// with the full budget. `outcomes` is parallel to `cells` (specs already
-/// filled in). `on_final(cell, warm)` fires exactly once per cell when its
-/// outcome is final; `warm` says the result came from a forked tail.
-/// Returns the number of warm (forked) results.
+/// filled in). `on_final(cell)` fires exactly once per cell when its
+/// outcome is final. Returns the number of warm (forked) results.
 std::size_t run_warm_group(const std::vector<scenario::RunSpec>& cells,
                            const std::vector<CellOutcome*>& outcomes,
                            const CellExecOptions& options,
-                           const std::function<void(CellOutcome&, bool warm)>& on_final);
+                           const std::function<void(CellOutcome&)>& on_final);
 
 /// One unit of claimable work: a single cold cell, or a whole
 /// warm-signature group (cells sharing one warm-up, run from one fork —

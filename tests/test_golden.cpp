@@ -18,10 +18,7 @@
 // held (a 4-thread warm campaign once hung under ASan). The runner now runs
 // warm groups on the calling thread before its pool starts;
 // Table2WarmStartOnFourThreads pins that under a wall-clock watchdog.
-#include <unistd.h>
-
 #include <algorithm>
-#include <csignal>
 #include <string>
 #include <thread>
 
@@ -32,6 +29,7 @@
 #include "snap/snapshot.hpp"
 #include "sweep/distributed.hpp"
 #include "sweep/sweep.hpp"
+#include "watchdog.hpp"
 
 namespace attain {
 namespace {
@@ -86,31 +84,7 @@ void expect_distributed_matches_golden(const std::string& name) {
                         sweep::DistributedRunner(options).run(golden::document(name).grid()).sweep);
 }
 
-/// Ends the test process with a message once the scope has run for
-/// `seconds` of wall time, so a hang fails instead of blocking the run.
-/// SIGALRM rather than a thread: a watchdog thread would itself be running
-/// during the forks under test. Forked children do not inherit the alarm.
-class Watchdog {
- public:
-  explicit Watchdog(unsigned seconds) : previous_(std::signal(SIGALRM, &expire)) {
-    alarm(seconds);
-  }
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-  ~Watchdog() {
-    alarm(0);
-    std::signal(SIGALRM, previous_);
-  }
-
- private:
-  static void expire(int) {
-    static const char kMessage[] = "watchdog: wall-clock budget exceeded (hung?)\n";
-    [[maybe_unused]] const ssize_t n = write(STDERR_FILENO, kMessage, sizeof kMessage - 1);
-    _exit(1);
-  }
-
-  void (*const previous_)(int);
-};
+using test_support::Watchdog;
 
 TEST(GoldenCorpus, Table2) { expect_cold_matches_golden("table2"); }
 
