@@ -12,6 +12,11 @@
 //   * HostLookup:   host_by_ip over every host of a built model — the
 //                   address indexes at 100k+ entries;
 //   * ShortestPath: BFS across a fat-tree (worst-case inter-pod pair);
+//   * TestbedBuild: wiring one scenario::Testbed (hosts, switches, data
+//                   pipes, per-switch port tables, control channels) on
+//                   leaf-spine(1, L, 32) for L in {16, 64}; the model is
+//                   built outside the timed region. O(ports) wiring keeps
+//                   the L=64 row near 4x the L=16 row;
 //   * VolumetricCell: one complete fat-tree(4) PACKET_IN-flood scenario
 //                   cell through scenario::run() — the end-to-end number
 //                   the acceptance sweep depends on.
@@ -23,6 +28,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <optional>
 
 #include "scenario/experiment.hpp"
 #include "scenario/run.hpp"
@@ -79,6 +85,22 @@ void BM_ShortestPath(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
+void BM_TestbedBuild(benchmark::State& state) {
+  const topo::SystemModel model = topo::build_model(
+      topo::TopologySpec::leaf_spine(1, static_cast<std::uint32_t>(state.range(0)), 32));
+  std::optional<scenario::Testbed> bed;
+  for (auto _ : state) {
+    state.PauseTiming();
+    topo::SystemModel copy = model;
+    bed.reset();
+    state.ResumeTiming();
+    bed.emplace(std::move(copy));
+    benchmark::DoNotOptimize(*bed);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(model.links().size()));
+}
+
 void BM_VolumetricCell(benchmark::State& state) {
   scenario::RunSpec spec;
   spec.experiment = scenario::ExperimentKind::Volumetric;
@@ -102,6 +124,7 @@ BENCHMARK(BM_Build)->Arg(0)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(48)
     ->Arg(1064)->Arg(1400)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_HostLookup)->Arg(16)->Arg(48)->Arg(1400);
 BENCHMARK(BM_ShortestPath)->Arg(4)->Arg(16)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TestbedBuild)->Arg(16)->Arg(64)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_VolumetricCell)->Unit(benchmark::kMillisecond);
 
 }  // namespace

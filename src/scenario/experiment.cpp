@@ -53,9 +53,16 @@ void Testbed::build() {
     switches_.push_back(std::make_unique<swsim::OpenFlowSwitch>(sched_, config));
   }
 
-  // Data-plane links: one pipe per direction per link; switch packet
-  // senders look their output pipe up by (switch index, port).
-  std::map<std::pair<std::uint32_t, std::uint16_t>, sim::Pipe<pkt::Packet>*> switch_out;
+  // Data-plane links: one pipe per direction per link. Each switch's packet
+  // sender owns a table of its output pipes indexed by port number, so
+  // wiring costs O(ports) and forwarding costs one index. A packet sent to a
+  // port with no link, or beyond the table, is dropped silently.
+  using PortTable = std::vector<sim::Pipe<pkt::Packet>*>;
+  std::vector<PortTable> port_tables;
+  port_tables.reserve(switches_.size());
+  for (const topo::SwitchSpec& spec : model_.switches()) {
+    port_tables.emplace_back(std::size_t{spec.num_ports} + 1, nullptr);  // ports are 1-based
+  }
   for (const topo::LinkSpec& link : model_.links()) {
     auto a_to_b = std::make_unique<sim::Pipe<pkt::Packet>>(sched_, options_.data_link);
     auto b_to_a = std::make_unique<sim::Pipe<pkt::Packet>>(sched_, options_.data_link);
@@ -77,10 +84,13 @@ void Testbed::build() {
     auto wire_sender = [&](EntityId src, std::optional<std::uint16_t> src_port,
                            sim::Pipe<pkt::Packet>* pipe) {
       if (src.kind == EntityKind::Host) {
-        hosts_[src.index]->set_sender(
-            [pipe](pkt::Packet p) { pipe->send(p, p.wire_size()); });
+        hosts_[src.index]->set_sender([pipe](pkt::Packet p) {
+          const std::size_t size = p.wire_size();  // argument order is unspecified
+          pipe->send(std::move(p), size);
+        });
       } else {
-        switch_out[{src.index, src_port.value()}] = pipe;
+        // SystemModel::add_link keeps switch ports within 1..num_ports.
+        port_tables[src.index][src_port.value()] = pipe;
       }
     };
     wire_sender(link.a, link.a_port, a_to_b.get());
@@ -90,12 +100,12 @@ void Testbed::build() {
     data_pipes_.push_back(std::move(b_to_a));
   }
   for (std::uint32_t i = 0; i < switches_.size(); ++i) {
-    swsim::OpenFlowSwitch* sw = switches_[i].get();
-    auto lookup = switch_out;  // copy for capture (small)
-    sw->set_packet_sender([i, lookup](std::uint16_t port, pkt::Packet p) {
-      const auto it = lookup.find({i, port});
-      if (it != lookup.end()) it->second->send(p, p.wire_size());
-    });
+    switches_[i]->set_packet_sender(
+        [table = std::move(port_tables[i])](std::uint16_t port, pkt::Packet p) {
+          if (port >= table.size() || table[port] == nullptr) return;
+          const std::size_t size = p.wire_size();  // argument order is unspecified
+          table[port]->send(std::move(p), size);
+        });
   }
 
   // Control-plane connections: switch <-> proxy <-> controller, one

@@ -1,6 +1,7 @@
 #include "sweep/journal.hpp"
 
 #include <cstring>
+#include <span>
 #include <stdexcept>
 
 #include "snap/wire.hpp"
@@ -134,12 +135,14 @@ CampaignJournal CampaignJournal::resume(const std::string& path, std::uint64_t c
 bool CampaignJournal::append(std::size_t cell_index, const CellOutcome& outcome) {
   if (fd_ < 0) return false;
   ByteWriter w;
+  std::size_t result_at = 0;
   try {
-    write_outcome(w, cell_index, outcome);
+    result_at = write_outcome(w, cell_index, outcome);
   } catch (const std::invalid_argument&) {
     return false;  // custom result type: not journalable, re-runs on resume
   }
-  w.u64(outcome.result ? scenario::result_digest(*outcome.result) : 0);
+  // The result bytes just written are what result_digest would re-encode.
+  w.u64(outcome.result ? fnv1a64(std::span(w.bytes()).subspan(result_at)) : 0);
   return snap::wire::write_frame(fd_, seal(std::move(w)));
 }
 

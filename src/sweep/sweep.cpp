@@ -55,7 +55,7 @@ void CellOutcome::write_json(JsonWriter& w, bool timing) const {
   w.end_object();
 }
 
-void write_outcome(ByteWriter& w, std::size_t index, const CellOutcome& outcome) {
+std::size_t write_outcome(ByteWriter& w, std::size_t index, const CellOutcome& outcome) {
   w.u32(static_cast<std::uint32_t>(index));
   w.u8(static_cast<std::uint8_t>(outcome.status));
   w.u32(outcome.attempts);
@@ -63,7 +63,9 @@ void write_outcome(ByteWriter& w, std::size_t index, const CellOutcome& outcome)
   w.u32(static_cast<std::uint32_t>(outcome.error.size()));
   w.raw({reinterpret_cast<const std::uint8_t*>(outcome.error.data()), outcome.error.size()});
   w.u8(outcome.result ? 1 : 0);
+  const std::size_t result_at = w.size();
   if (outcome.result) scenario::save_result(*outcome.result, w);
+  return result_at;
 }
 
 OutcomeRecord read_outcome(ByteReader& r) {

@@ -68,9 +68,12 @@ struct OutcomeRecord {
 ///   u32 index | u8 status | u32 attempts | u64 wall_bits
 ///   | u32 error_len | error bytes | u8 has_result | [save_result bytes]
 ///
+/// Returns the offset in `w` at which the save_result bytes begin (where
+/// they would begin when there is no result), so a caller can hash them in
+/// place: fnv1a64 of those bytes is scenario::result_digest.
 /// Throws std::invalid_argument when the result has no binary codec
 /// (custom result types); `w` is then left partially written.
-void write_outcome(ByteWriter& w, std::size_t index, const CellOutcome& outcome);
+std::size_t write_outcome(ByteWriter& w, std::size_t index, const CellOutcome& outcome);
 
 /// Reads one record written by write_outcome. Throws DecodeError on a
 /// short record, an unknown status byte or an undecodable result; nothing
