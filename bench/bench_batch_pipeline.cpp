@@ -3,7 +3,7 @@
 //
 //  1. Ingress pipeline (gate: >= 2x) — the per-switch volumetric hot path,
 //     batched end to end: flood generator -> switch ingest (match_batch)
-//     -> template-stamped PACKET_IN encode -> control-pipe delivery. The
+//     -> typed PACKET_IN (sized, never encoded) -> control-pipe delivery. The
 //     reference is the per-packet path production keeps for the data
 //     plane: make_tcp per frame, OpenFlowSwitch::on_packet per packet
 //     (frame encode, one table probe), into a pipe with no batch receiver
@@ -126,7 +126,7 @@ IngressRun run_ingress(bool batching, std::size_t packets, std::size_t burst) {
     pipe.set_receiver([&](chan::Envelope) { ++run.delivered; });
   }
   h.sw->set_control_sender([&pipe](chan::Envelope e) {
-    const std::size_t bytes = e.wire().size();
+    const std::size_t bytes = e.wire_size();  // as Channel::send_from_switch sizes it
     pipe.send(std::move(e), bytes);
   });
 

@@ -26,16 +26,25 @@ monitor::Event base_event(monitor::EventKind kind, const ModifierContext& ctx) {
   return event;
 }
 
-void note_failure(ModifierContext& ctx, const std::string& what) {
-  monitor::Event event = base_event(monitor::EventKind::EvalError, ctx);
-  event.detail = what;
-  if (ctx.monitor != nullptr) ctx.monitor->record(std::move(event));
+/// True when the monitor keeps full events of `kind`. In counters-only mode
+/// it tallies the kind instead and returns false, so callers skip building
+/// the string-heavy Event.
+bool wants_event(ModifierContext& ctx, monitor::EventKind kind) {
+  if (ctx.monitor == nullptr) return false;
+  if (ctx.monitor->enabled(kind)) return true;
+  ctx.monitor->tally(kind);
+  return false;
 }
 
 void record(ModifierContext& ctx, monitor::EventKind kind, std::string detail = {}) {
+  if (!wants_event(ctx, kind)) return;
   monitor::Event event = base_event(kind, ctx);
   event.detail = std::move(detail);
-  if (ctx.monitor != nullptr) ctx.monitor->record(std::move(event));
+  ctx.monitor->record(std::move(event));
+}
+
+void note_failure(ModifierContext& ctx, std::string what) {
+  record(ctx, monitor::EventKind::EvalError, std::move(what));
 }
 
 lang::Value eval_or_default(const lang::ExprPtr& expr, const ModifierContext& ctx) {
@@ -85,13 +94,14 @@ bool apply_action(const lang::ActionSpec& action, OutMessageList& out,
     return true;
   }
   if (const auto* read_meta = std::get_if<ActReadMeta>(&action)) {
+    if (!wants_event(ctx, monitor::EventKind::ActionExecuted)) return true;
     monitor::Event event = base_event(monitor::EventKind::ActionExecuted, ctx);
     event.detail = "read_meta";
     if (ctx.original != nullptr) {
       event.detail += ": len=" + std::to_string(ctx.original->length()) +
                       (read_meta->note.empty() ? "" : " note=" + read_meta->note);
     }
-    if (ctx.monitor != nullptr) ctx.monitor->record(std::move(event));
+    ctx.monitor->record(std::move(event));
     return true;
   }
   if (const auto* read = std::get_if<ActRead>(&action)) {
@@ -99,10 +109,11 @@ bool apply_action(const lang::ActionSpec& action, OutMessageList& out,
       note_failure(ctx, "read(msg): payload not readable");
       return false;
     }
+    if (!wants_event(ctx, monitor::EventKind::ActionExecuted)) return true;
     monitor::Event event = base_event(monitor::EventKind::ActionExecuted, ctx);
     event.detail = "read: " + ctx.original->payload()->summary() +
                    (read->note.empty() ? "" : " note=" + read->note);
-    if (ctx.monitor != nullptr) ctx.monitor->record(std::move(event));
+    ctx.monitor->record(std::move(event));
     return true;
   }
   if (const auto* modify = std::get_if<ActModifyField>(&action)) {

@@ -89,7 +89,7 @@ Channel::Channel(sim::Scheduler& sched, ChannelConfig config)
 
 void Channel::send_from_switch(Envelope envelope) {
   ++dir_counters(Direction::SwitchToController).frames;
-  const std::size_t size = envelope.wire_size();  // the one mandatory encode
+  const std::size_t size = envelope.wire_size();
   switch_to_proxy_.send(std::move(envelope), size);
 }
 

@@ -10,10 +10,10 @@
 // sink either passes the frame on through forward() — now, later, or on a
 // different channel, which is how redirected messages travel — or consumes
 // it. Without a sink the frame is forwarded unchanged. Endpoints attach as
-// envelope sinks, so the whole path is typed: the frame is encoded once (at
-// the first pipe hop) and decoded at most once, instead of the
-// encode/decode/decode round-trip the previous std::function<void(Bytes)>
-// plumbing paid per frame.
+// envelope sinks, so the whole path is typed: a typed frame is never
+// encoded (each hop sizes it with ofp::wire_length) and a raw-wire frame is
+// decoded at most once, instead of the encode/decode/decode round-trip the
+// previous std::function<void(Bytes)> plumbing paid per frame.
 //
 // Each channel keeps per-direction counters and a bounded trace ring that
 // sweep results can serialize; both are deterministic (virtual-time stamps

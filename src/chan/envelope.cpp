@@ -57,6 +57,11 @@ void Envelope::ensure_wire() const {
   wire_stale_ = false;
 }
 
+std::size_t Envelope::wire_size() const {
+  if (!has_wire() && has_message()) return ofp::wire_length(*message_);
+  return wire_.has_value() ? wire_->size() : 0;
+}
+
 const Bytes& Envelope::wire() const {
   ensure_wire();
   return *wire_;

@@ -4,8 +4,10 @@
 // lazily, caching the result. The byte pipeline it replaces paid a full
 // encode at the switch, a decode at the injector proxy, and another decode
 // at the controller for every interposed frame; an envelope built from a
-// typed message pays exactly one encode (at the first pipe hop, which needs
-// the wire size) and zero decodes on the happy path.
+// typed message pays no codec call on the happy path. Its wire_size() is
+// computed from the message (ofp::wire_length), and the bytes are encoded
+// only when something reads them: the fuzz modifier, a raw-byte read, a
+// FrameAssembler, a test.
 //
 // Cache coherence: mutable_message() marks the wire bytes stale (they are
 // re-encoded from the mutated message on the next wire() call) and
@@ -47,15 +49,6 @@ class Envelope {
 
   static Envelope from_wire(Bytes wire) { return Envelope(std::move(wire)); }
   static Envelope from_message(ofp::Message message) { return Envelope(std::move(message)); }
-  /// Both views up front, both caches valid — the stamped-template emit
-  /// path uses this to skip the first-hop encode. The caller guarantees
-  /// `wire` is byte-identical to ofp::encode(message) (StampedTemplate
-  /// validates this invariant at build time and under differential fuzz).
-  static Envelope from_parts(ofp::Message message, Bytes wire) {
-    Envelope envelope(std::move(message));
-    envelope.wire_ = std::move(wire);
-    return envelope;
-  }
 
   /// The decoded view: cached after the first call. Returns nullptr while
   /// sealed, when the envelope is empty, or when the wire bytes do not
@@ -73,7 +66,9 @@ class Envelope {
   /// Mutable wire bytes for fuzzing; materializes them first and marks the
   /// decoded view stale so the next message() re-decodes.
   Bytes& mutable_wire();
-  std::size_t wire_size() const { return wire().size(); }
+  /// wire().size() without materializing the bytes: computed from the
+  /// decoded view while the wire is not cached (no codec call).
+  std::size_t wire_size() const;
 
   /// TLS opacity: while sealed, message()/mutable_message() return nullptr.
   /// The cached decoded view is hidden, not destroyed — unseal() restores

@@ -106,7 +106,7 @@ void Controller::poll_port_stats(ConnHandle conn) {
   send(conn, ofp::make_message(next_xid(), std::move(req)));
 }
 
-void Controller::send(ConnHandle conn, const ofp::Message& msg) {
+void Controller::send(ConnHandle conn, ofp::Message msg) {
   Conn& c = conns_.at(conn);
   if (!c.send) return;
   ++counters_.messages_sent;
@@ -115,7 +115,7 @@ void Controller::send(ConnHandle conn, const ofp::Message& msg) {
     case ofp::MsgType::PacketOut: ++counters_.packet_outs_sent; break;
     default: break;
   }
-  c.send(chan::Envelope(msg));  // wire bytes materialize at the first pipe hop
+  c.send(chan::Envelope(std::move(msg)));  // typed; wire bytes encode only if read
 }
 
 }  // namespace attain::ctl

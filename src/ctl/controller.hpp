@@ -99,8 +99,8 @@ class Controller {
     (void)reply;
   }
 
-  /// Sends a message on a connection (counted, encoded).
-  void send(ConnHandle conn, const ofp::Message& msg);
+  /// Sends a message on a connection (counted; it travels typed).
+  void send(ConnHandle conn, ofp::Message msg);
   std::uint32_t next_xid() { return xid_++; }
 
   sim::Scheduler& sched() { return sched_; }

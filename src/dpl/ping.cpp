@@ -53,7 +53,7 @@ void PingApp::start(unsigned trials, SimTime interval, SimTime timeout) {
     done_ = true;
     return;
   }
-  report_.trials.reserve(trials);
+  trials_.reserve(trials);
   send_trial(0, trials, interval, timeout);
 }
 
@@ -62,7 +62,7 @@ void PingApp::send_trial(unsigned index, unsigned total, SimTime interval, SimTi
   PingTrial trial;
   trial.seq = seq;
   trial.sent_at = src_.scheduler().now();
-  report_.trials.push_back(trial);
+  trials_.push_back(trial);
 
   src_.send_ip(dst_ip_, [this, seq](pkt::MacAddress dst_mac) {
     return pkt::make_icmp_echo(src_.mac(), dst_mac, src_.ip(), dst_ip_,
@@ -83,7 +83,7 @@ void PingApp::send_trial(unsigned index, unsigned total, SimTime interval, SimTi
 void PingApp::on_echo_reply(const pkt::Packet& packet) {
   if (!packet.icmp || packet.icmp->id != icmp_id_) return;
   const std::uint16_t seq = packet.icmp->seq;
-  for (PingTrial& trial : report_.trials) {
+  for (PingTrial& trial : trials_) {
     if (trial.seq == seq && !trial.rtt) {
       trial.rtt = src_.scheduler().now() - static_cast<SimTime>(packet.payload_tag);
       return;

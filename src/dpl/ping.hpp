@@ -20,8 +20,9 @@ struct PingTrial {
 };
 
 struct PingReport {
-  /// Slab-backed: one push per trial during the simulate loop.
-  mem::vector<PingTrial> trials;
+  /// Heap-backed: a report outlives the cell that made it, so it must not
+  /// pin thread-slab blocks the next cell on the thread reuses.
+  std::vector<PingTrial> trials;
 
   std::size_t sent() const { return trials.size(); }
   std::size_t received() const;
@@ -32,8 +33,9 @@ struct PingReport {
   std::optional<double> max_rtt_seconds() const;
 };
 
-/// Runs `ping -c trials` from `src` toward `dst_ip`. Results accumulate in
-/// report(); done() flips after the last trial's timeout.
+/// Runs `ping -c trials` from `src` toward `dst_ip`. Trials accumulate in a
+/// slab-backed list (one push per trial during the simulate loop) that
+/// report() copies out; done() flips after the last trial's timeout.
 class PingApp {
  public:
   PingApp(Host& src, pkt::Ipv4Address dst_ip, std::uint16_t icmp_id = 1);
@@ -42,7 +44,7 @@ class PingApp {
   /// to answer.
   void start(unsigned trials, SimTime interval = 1 * kSecond, SimTime timeout = 1 * kSecond);
 
-  const PingReport& report() const { return report_; }
+  PingReport report() const { return {{trials_.begin(), trials_.end()}}; }
   bool done() const { return done_; }
 
  private:
@@ -53,7 +55,7 @@ class PingApp {
   pkt::Ipv4Address dst_ip_;
   std::uint16_t icmp_id_;
   std::uint16_t next_seq_{1};
-  PingReport report_;
+  mem::vector<PingTrial> trials_;
   bool done_{false};
 };
 

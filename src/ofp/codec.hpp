@@ -1,7 +1,8 @@
 // OpenFlow 1.0 wire codec: header framing plus per-message body
-// encode/decode. The runtime injector interposes on these wire bytes, so
-// everything the switches and controllers exchange round-trips through this
-// codec (like the paper's use of Loxi).
+// encode/decode (the paper's injector uses Loxi for this). Control frames
+// travel as typed messages; their wire bytes materialize through this codec
+// only when something reads them (chan::Envelope), and wire_length() gives
+// a frame's size without encoding it.
 #pragma once
 
 #include <span>
@@ -33,8 +34,13 @@ struct CodecOpCounters {
 CodecOpCounters& codec_ops();
 void reset_codec_ops();
 
-/// Serializes a message (header + body) to wire bytes.
+/// Serializes a message (header + body) to wire bytes. Throws
+/// std::length_error above 64 KiB, like wire_length().
 Bytes encode(const Message& message);
+
+/// encode(message).size(), computed without encoding (no codec_ops() bump).
+/// Throws std::length_error above 64 KiB.
+std::size_t wire_length(const Message& message);
 
 /// Peeks at the 8-byte header without touching the body. Throws DecodeError
 /// if fewer than 8 bytes are available or the version is not 0x01.

@@ -7,8 +7,12 @@
 // region). Emitting a flood instance is then O(patched bytes): in-place
 // big-endian stores plus one same-length memcpy for the payload, with the
 // typed message patched in lock step so wire() == ofp::encode(message())
-// always holds. chan::Envelope::from_parts() turns the pair into an
-// envelope with both views cached, skipping the first-hop encode entirely.
+// always holds.
+//
+// The simulated control channel does not use it: frames travel as typed
+// messages and are sized with ofp::wire_length, so no bytes are produced at
+// all. It serves callers that need many real frames of one shape, such as
+// bench_batch_pipeline and the e2e benchmark's codec replay.
 //
 // Discovery is self-validating: each field is probed with two values whose
 // encodings differ in every byte, the probe bytes must land verbatim at a

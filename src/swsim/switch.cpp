@@ -1,7 +1,5 @@
 #include "swsim/switch.hpp"
 
-#include <span>
-
 #include "common/log.hpp"
 #include "packet/codec.hpp"
 
@@ -33,10 +31,10 @@ void OpenFlowSwitch::connect() {
   schedule_expiry();
 }
 
-void OpenFlowSwitch::send_message(const ofp::Message& msg) {
+void OpenFlowSwitch::send_message(ofp::Message msg) {
   if (!send_control_) return;
   ++counters_.control_tx;
-  send_control_(chan::Envelope(msg));  // wire bytes materialize at the first pipe hop
+  send_control_(chan::Envelope(std::move(msg)));  // typed; wire bytes encode only if read
 }
 
 void OpenFlowSwitch::on_control_envelope(chan::Envelope envelope) {
@@ -381,53 +379,18 @@ void OpenFlowSwitch::table_miss(const pkt::Packet& packet, const Bytes& frame,
   // Buffering decision first, exactly the scalar order: buffer id, then
   // the shipped data region (miss_send_len-truncated when buffered, the
   // whole frame when the pool is exhausted), then the xid.
-  std::uint32_t buffer_id = ofp::kNoBuffer;
+  ofp::PacketIn pin;  // buffer_id kNoBuffer, reason NoMatch
+  pin.in_port = in_port;
+  pin.total_len = static_cast<std::uint16_t>(frame.size());
   std::size_t data_size = frame.size();
   if (buffers_.size() < config_.buffer_capacity) {
-    buffer_id = next_buffer_id_++;
-    buffers_[buffer_id] = Buffered{packet, in_port, sched_.now()};
+    pin.buffer_id = next_buffer_id_++;
+    buffers_[pin.buffer_id] = Buffered{packet, in_port, sched_.now()};
     data_size = std::min<std::size_t>(frame.size(), config_.miss_send_len);
   }
   ++counters_.packet_in_sent;
-
-  if (ofp::StampedTemplate* tmpl = send_control_ ? miss_template(data_size) : nullptr) {
-    // O(patched bytes) emission: memcpy the prototype wire and stamp the
-    // flood-varying fields — bytes validated identical to a full encode at
-    // template construction (and by the differential fuzz tests).
-    tmpl->set_xid(next_xid());
-    tmpl->set_buffer_id(buffer_id);
-    tmpl->set_in_port(in_port);
-    tmpl->set_total_len(static_cast<std::uint16_t>(frame.size()));
-    tmpl->set_data(std::span<const std::uint8_t>(frame.data(), data_size));
-    ++counters_.control_tx;
-    send_control_(chan::Envelope::from_parts(tmpl->emit_message(), tmpl->emit_wire()));
-    return;
-  }
-
-  ofp::PacketIn pin;
-  pin.in_port = in_port;
-  pin.reason = ofp::PacketInReason::NoMatch;
-  pin.total_len = static_cast<std::uint16_t>(frame.size());
-  pin.buffer_id = buffer_id;
   pin.data.assign(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(data_size));
   send_message(ofp::make_message(next_xid(), std::move(pin)));
-}
-
-ofp::StampedTemplate* OpenFlowSwitch::miss_template(std::size_t data_size) {
-  const auto it = miss_templates_.find(data_size);
-  if (it != miss_templates_.end()) return it->second ? &*it->second : nullptr;
-  if (miss_templates_.size() >= 16) miss_templates_.clear();  // pathological size churn
-  ofp::PacketIn proto;
-  proto.reason = ofp::PacketInReason::NoMatch;
-  proto.data.assign(data_size, 0);
-  ofp::StampedTemplate tmpl(ofp::Message{0, std::move(proto)});
-  std::optional<ofp::StampedTemplate>& slot = miss_templates_[data_size];
-  if (tmpl.can_stamp_xid() && tmpl.can_stamp_buffer_id() && tmpl.can_stamp_in_port() &&
-      tmpl.can_stamp_total_len() && tmpl.can_stamp_data(data_size)) {
-    slot.emplace(std::move(tmpl));
-    return &*slot;
-  }
-  return nullptr;  // slot stays nullopt: negative cache
 }
 
 void OpenFlowSwitch::standalone_forward(const pkt::Packet& packet, std::uint16_t in_port) {

@@ -17,7 +17,6 @@
 #include "common/types.hpp"
 #include "ofp/codec.hpp"
 #include "ofp/messages.hpp"
-#include "ofp/stamp.hpp"
 #include "packet/packet.hpp"
 #include "sim/scheduler.hpp"
 #include "swsim/flow_table.hpp"
@@ -103,8 +102,8 @@ class OpenFlowSwitch {
   /// Delivers a burst of data-plane frames arriving together on one port.
   /// Observationally identical to calling on_packet() once per frame in
   /// order; while the channel is Connected the flow-table lookups run
-  /// through match_batch() (prefetched). Table misses on either path emit
-  /// PACKET_INs through the stamped template.
+  /// through match_batch() (prefetched). Table misses on either path send
+  /// typed PACKET_INs.
   void on_packet_batch(PacketBatch batch);
 
   /// Administratively raises/lowers a port (models link failure at this
@@ -137,11 +136,8 @@ class OpenFlowSwitch {
   /// table_miss with the packet's frame already encoded (`frame` must equal
   /// pkt::encode(packet) byte-for-byte).
   void table_miss(const pkt::Packet& packet, const Bytes& frame, std::uint16_t in_port);
-  /// Lazily built stamped PACKET_IN template for misses whose shipped data
-  /// region is `data_size` bytes; nullptr when the shape is unstampable.
-  ofp::StampedTemplate* miss_template(std::size_t data_size);
   void standalone_forward(const pkt::Packet& packet, std::uint16_t in_port);
-  void send_message(const ofp::Message& msg);
+  void send_message(ofp::Message msg);
   void send_flow_removed(const ExpiredEntry& expired);
   void schedule_echo();
   void schedule_expiry();
@@ -172,12 +168,6 @@ class OpenFlowSwitch {
   static constexpr SimTime kBufferTtl = 10 * kSecond;
   mem::map<std::uint32_t, Buffered> buffers_;
   std::uint32_t next_buffer_id_{1};
-
-  /// Stamped PACKET_IN templates keyed by shipped-data size (flood traffic
-  /// is a handful of frame sizes; nullopt caches "unstampable"). A miss
-  /// then costs one memcpy plus in-place field stamps instead of a full
-  /// ofp::encode — same bytes, validated at template construction.
-  mem::map<std::size_t, std::optional<ofp::StampedTemplate>> miss_templates_;
 
   // Standalone (fail-safe) learning table: MAC -> port.
   mem::map<std::uint64_t, std::uint16_t> standalone_macs_;

@@ -1,7 +1,8 @@
 // chan:: pipeline tests: envelope cache coherence (decode-once, lazy
 // re-encode, seal/unseal), the fuzzed-corpus round-trip property, the
-// shared ingress helper, the proxy sink, and the codec-op savings the
-// decode-once path buys on the paper's Table II scenario.
+// shared ingress helper, the proxy sink, the codec-op savings the
+// decode-once path buys on the paper's Table II scenario, and the encode-free
+// Table II and Fig. 11 cells (typed frames are sized, never encoded).
 #include "chan/channel.hpp"
 
 #include <gtest/gtest.h>
@@ -42,6 +43,23 @@ TEST(Envelope, TypedOriginPaysOneEncodeLazily) {
   env.wire();
   env.message();
   EXPECT_EQ(ops_since(before), 1u);  // both views now cached
+}
+
+TEST(Envelope, WireSizeDoesNotEncode) {
+  Envelope env(sample_flow_mod());
+  const auto before = ofp::codec_ops();
+  EXPECT_EQ(env.wire_size(), ofp::wire_length(sample_flow_mod()));
+  EXPECT_EQ(ofp::codec_ops().encodes, before.encodes);
+  EXPECT_FALSE(env.has_wire());
+
+  // A mutated message is sized from the edit, still without encoding.
+  ofp::Message* message = env.mutable_message();
+  ASSERT_NE(message, nullptr);
+  message->as<ofp::FlowMod>().actions.push_back(
+      ofp::ActionSetDlDst{pkt::MacAddress::from_u64(7)});
+  EXPECT_EQ(env.wire_size(), ofp::wire_length(*env.message()));
+  EXPECT_EQ(ofp::codec_ops().encodes, before.encodes);
+  EXPECT_EQ(env.wire_size(), env.wire().size());  // the lazy encode agrees
 }
 
 TEST(Envelope, WireOriginDecodesExactlyOnce) {
@@ -378,6 +396,17 @@ TEST(Channel, DecodeOnceSavesAtLeast40PercentOnTable2Cell) {
     const std::string json = result->to_json();
     EXPECT_NE(json.find("\"control_channel\":{\"messages_interposed\":"), std::string::npos);
     EXPECT_EQ(json, scenario::run(spec)->to_json()) << spec.id();
+  }
+}
+
+TEST(Channel, Table2AndFig11CellsNeverEncode) {
+  std::vector<scenario::RunSpec> grid = scenario::table2_grid();
+  for (scenario::RunSpec& spec : scenario::fig11_grid()) grid.push_back(std::move(spec));
+  for (const scenario::RunSpec& spec : grid) {
+    ofp::reset_codec_ops();
+    const scenario::RunResultPtr result = scenario::run(spec);
+    ASSERT_GT(result->messages_interposed, 0u) << spec.id();
+    EXPECT_EQ(ofp::codec_ops().encodes, 0u) << spec.id();
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ofp/fuzz.hpp"
 #include "packet/codec.hpp"
 
 namespace attain::ofp {
@@ -298,6 +299,69 @@ TEST(Codec, MessageSummaryIsInformative) {
   const std::string s = m.summary();
   EXPECT_NE(s.find("FLOW_MOD"), std::string::npos);
   EXPECT_NE(s.find("ADD"), std::string::npos);
+}
+
+/// wire_length() is the size encode() produces, computed without encoding.
+/// Covers every type (all four stats request and reply bodies), empty and
+/// near-64 KiB data, and the decodable frames a bit-flip fuzzer makes.
+TEST(OfpCodec, WireLengthMatchesEncode) {
+  std::vector<Message> msgs = representative_messages();
+  {
+    StatsRequest req;
+    req.body = AggregateStatsRequest{Match::wildcard_all(), 0xff, 2};
+    msgs.push_back(make_message(30, std::move(req)));
+  }
+  {
+    StatsReply reply;
+    FlowStatsEntry entry;
+    entry.actions = {ActionSetDlSrc{pkt::MacAddress::from_u64(1)}, ActionEnqueue{3, 1},
+                     ActionOutput{1, 0xffff}};
+    reply.body = std::vector<FlowStatsEntry>{entry, entry};
+    msgs.push_back(make_message(31, std::move(reply)));
+  }
+  msgs.push_back(make_message(32, PacketIn{}));
+  msgs.push_back(make_message(33, Error{}));
+  {
+    PacketIn pin;
+    pin.data.assign(0xffff - kHeaderSize - 10, 0xab);  // exactly 64 KiB - 1 on the wire
+    msgs.push_back(make_message(34, std::move(pin)));
+  }
+  {
+    PacketOut out;
+    out.actions = output_to(Port::Flood);
+    out.data.assign(40000, 0x5a);
+    msgs.push_back(make_message(35, std::move(out)));
+  }
+
+  const auto encodes_before = codec_ops().encodes;
+  for (const Message& m : msgs) wire_length(m);
+  EXPECT_EQ(codec_ops().encodes, encodes_before);  // sizing never encodes
+
+  std::size_t fuzzed_decodes = 0;
+  for (const Message& m : msgs) {
+    const Bytes wire = encode(m);
+    EXPECT_EQ(wire_length(m), wire.size()) << m.summary();
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      Bytes frame = wire;
+      Rng rng(seed);
+      fuzz_frame(frame, rng);
+      Message mutated;
+      try {
+        mutated = decode(frame);
+      } catch (const DecodeError&) {
+        continue;
+      }
+      ++fuzzed_decodes;
+      EXPECT_EQ(wire_length(mutated), encode(mutated).size()) << mutated.summary();
+    }
+  }
+  EXPECT_GT(fuzzed_decodes, 500u);
+
+  EchoRequest oversize;
+  oversize.data.resize(0x10000 - kHeaderSize);  // one byte over the 16-bit length
+  const Message too_big = make_message(36, std::move(oversize));
+  EXPECT_THROW(wire_length(too_big), std::length_error);
+  EXPECT_THROW(encode(too_big), std::length_error);
 }
 
 TEST(Codec, OversizeMessageThrows) {
