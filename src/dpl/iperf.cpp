@@ -95,8 +95,8 @@ void IperfClient::on_rto() {
 }
 
 void IperfClient::arm_timer() {
-  rto_timer_.cancel();
-  rto_timer_ = host_.scheduler().after(config_.rto, [this] { on_rto(); });
+  sim::Scheduler& sched = host_.scheduler();
+  sched.rearm(rto_timer_, sched.now() + config_.rto, [this] { on_rto(); });
 }
 
 void IperfClient::finish() {

@@ -3,12 +3,7 @@
 namespace attain::sim {
 
 SimTime idle_pipe_latency(const PipeConfig& config, std::size_t size_bytes) {
-  const SimTime serialize =
-      config.bandwidth_bps == 0
-          ? 0
-          : static_cast<SimTime>(static_cast<__int128>(size_bytes) * 8 * kSecond /
-                                 config.bandwidth_bps);
-  return serialize + config.propagation_delay;
+  return serialization_delay(size_bytes, config.bandwidth_bps) + config.propagation_delay;
 }
 
 }  // namespace attain::sim

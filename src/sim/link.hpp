@@ -33,6 +33,24 @@ struct BatchItem {
 template <typename T>
 using PayloadBatch = mem::vector<BatchItem<T>>;
 
+/// Largest payload size whose serialization product size * 8 * kSecond
+/// still fits in 64 bits (about 2.3 TB): every real frame.
+inline constexpr std::uint64_t kNarrowSerializationBytes =
+    UINT64_MAX / (8 * static_cast<std::uint64_t>(kSecond));
+
+/// Time to clock `size_bytes` onto a link of `bandwidth_bps` (0 means
+/// infinite: no serialization delay), rounded down to whole microseconds.
+/// Sizes up to kNarrowSerializationBytes divide in 64 bits; larger ones fall
+/// back to 128-bit arithmetic (a libgcc call), with the same result.
+inline SimTime serialization_delay(std::size_t size_bytes, std::uint64_t bandwidth_bps) {
+  if (bandwidth_bps == 0) return 0;
+  if (size_bytes <= kNarrowSerializationBytes) {
+    return static_cast<SimTime>(static_cast<std::uint64_t>(size_bytes) * 8 *
+                                static_cast<std::uint64_t>(kSecond) / bandwidth_bps);
+  }
+  return static_cast<SimTime>(static_cast<__int128>(size_bytes) * 8 * kSecond / bandwidth_bps);
+}
+
 /// Counters describing a pipe's lifetime behaviour; used by monitors and
 /// the benchmark harness.
 struct PipeStats {
@@ -91,11 +109,7 @@ class Pipe {
     }
     ++stats_.enqueued;
     ++in_flight_;
-    const SimTime serialize =
-        config_.bandwidth_bps == 0
-            ? 0
-            : static_cast<SimTime>(static_cast<__int128>(size_bytes) * 8 * kSecond /
-                                   config_.bandwidth_bps);
+    const SimTime serialize = serialization_delay(size_bytes, config_.bandwidth_bps);
     const SimTime start = std::max(sched_->now(), busy_until_);
     busy_until_ = start + serialize;
     const SimTime deliver_at = busy_until_ + config_.propagation_delay;

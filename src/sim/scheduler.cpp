@@ -1,6 +1,6 @@
 #include "sim/scheduler.hpp"
 
-#include <utility>
+#include <new>
 
 #include "common/log.hpp"
 
@@ -8,91 +8,90 @@ namespace attain::sim {
 
 void EventHandle::cancel() {
   if (sched_ == nullptr) return;
-  Scheduler::Slot& slot = sched_->pool_[slot_];
-  if (slot.gen == gen_ && slot.pending) slot.cancelled = true;
+  Scheduler::Slot& slot = sched_->slot_at(slot_);
+  // A matching generation means the event is still queued: firing and
+  // freeing both bump it.
+  if (slot.gen == gen_) slot.cancelled = true;
 }
 
 bool EventHandle::pending() const {
   if (sched_ == nullptr) return false;
-  const Scheduler::Slot& slot = sched_->pool_[slot_];
-  return slot.gen == gen_ && slot.pending && !slot.cancelled;
+  const Scheduler::Slot& slot = sched_->slot_at(slot_);
+  return slot.gen == gen_ && !slot.cancelled;
 }
 
 Scheduler::Scheduler() {
   Logger::instance().set_clock([this] { return now_; });
 }
 
-Scheduler::~Scheduler() { Logger::instance().set_clock({}); }
+Scheduler::~Scheduler() {
+  Logger::instance().set_clock({});
+  for (std::uint32_t i = 0; i < constructed_; ++i) slot_at(i).~Slot();
+  for (Slot* chunk : chunks_) mem::thread_slab().deallocate(chunk, kChunkSlots * sizeof(Slot));
+}
 
-std::uint32_t Scheduler::acquire_slot(Task fn) {
-  std::uint32_t index;
-  if (!free_slots_.empty()) {
-    index = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    index = static_cast<std::uint32_t>(pool_.size());
-    pool_.emplace_back();
+std::uint32_t Scheduler::new_slot() {
+  const std::uint32_t index = constructed_;
+  if (index % kChunkSlots == 0) {
+    chunks_.push_back(static_cast<Slot*>(mem::thread_slab().allocate(kChunkSlots * sizeof(Slot))));
   }
-  Slot& slot = pool_[index];
-  slot.fn = std::move(fn);
-  slot.cancelled = false;
-  slot.pending = true;
+  ::new (&slot_at(index)) Slot();
+  ++constructed_;
+  free_head_ = index;
   return index;
 }
 
-void Scheduler::release_slot(std::uint32_t index) {
-  Slot& slot = pool_[index];
+void Scheduler::release(std::uint32_t index, Slot& slot) {
   slot.fn = nullptr;
-  slot.pending = false;
-  slot.cancelled = false;
-  ++slot.gen;  // invalidates outstanding handles
-  free_slots_.push_back(index);
-}
-
-EventHandle Scheduler::at(SimTime when, Task fn) {
-  // Clamp instead of throwing: a stale timer (e.g. one computed from a
-  // deadline that already elapsed) fires immediately rather than running
-  // virtual time backwards through the event loop.
-  if (when < now_) when = now_;
-  const std::uint32_t slot = acquire_slot(std::move(fn));
-  const std::uint32_t gen = pool_[slot].gen;
-  queue_.push(QueuedEvent{when, seq_++, slot, gen});
-  return EventHandle{this, slot, gen};
-}
-
-EventHandle Scheduler::after(SimTime delay, Task fn) {
-  return at(now_ + delay, std::move(fn));
+  slot.next = free_head_;
+  free_head_ = index;
 }
 
 void Scheduler::dispatch(const QueuedEvent& ev) {
-  now_ = ev.when;  // cancelled events still advance the clock (as seeded)
-  Slot& slot = pool_[ev.slot];
-  // The queue entry owns its slot for exactly one generation, so a
-  // generation mismatch is impossible here; cancelled is the only flag.
-  const bool fire = !slot.cancelled;
-  Task fn;
-  if (fire) fn = std::move(slot.fn);
-  // Recycle before invoking: the callback may schedule new events into the
-  // slot we just freed, which is fine — `fn` was moved out first.
-  release_slot(ev.slot);
-  if (fire) {
-    ++executed_;
-    fn();
+  now_ = ev.when;  // set even if nothing behind the entry fires (as seeded)
+  std::uint32_t index = ev.slot;
+  while (index != kNone) {
+    if (index == open_tail_) open_tail_ = kNone;  // nothing may join a walked run
+    Slot& slot = slot_at(index);
+    const std::uint32_t next = slot.next;
+    if (slot.moved) {
+      // This was the re-armed timer's old position: take the new one.
+      slot.moved = false;
+      slot.next = kNone;
+      heap_.push(QueuedEvent{slot.due, slot.due_seq, index});
+    } else if (slot.cancelled) {
+      ++slot.gen;
+      release(index, slot);
+    } else {
+      ++slot.gen;  // handles see the event as fired while it runs
+      ++executed_;
+      try {
+        slot.fn();
+      } catch (...) {
+        release(index, slot);
+        // The rest of the run keeps its place: every key in it lies between
+        // this entry's and the next heap entry's.
+        if (next != kNone) heap_.push(QueuedEvent{ev.when, ev.seq, next});
+        throw;
+      }
+      release(index, slot);
+    }
+    index = next;
   }
 }
 
 void Scheduler::run() {
-  while (!queue_.empty()) {
-    const QueuedEvent ev = queue_.top();
-    queue_.pop();
+  while (!heap_.empty()) {
+    const QueuedEvent ev = heap_.top();
+    heap_.pop();
     dispatch(ev);
   }
 }
 
 void Scheduler::run_until(SimTime deadline) {
-  while (!queue_.empty() && queue_.top().when <= deadline) {
-    const QueuedEvent ev = queue_.top();
-    queue_.pop();
+  while (!heap_.empty() && heap_.top().when <= deadline) {
+    const QueuedEvent ev = heap_.top();
+    heap_.pop();
     dispatch(ev);
   }
   if (now_ < deadline) now_ = deadline;

@@ -2,18 +2,32 @@
 // switches, controllers, hosts, the injector) schedule callbacks on a single
 // Scheduler instance; virtual time advances only through run()/run_until().
 //
-// Events live in a slab-recycled pool: the priority queue holds plain
-// 24-byte records and cancellation uses (slot, generation) tags, so
-// scheduling an event performs no allocation at all in steady state. The
-// callback is a sim::Task whose inline buffer is sized for the fattest
-// hot-path lambda (a pipe delivery carrying a chan::Envelope); oversized
-// callables recycle through the thread's slab pool, and the pool/queue
-// vectors themselves are slab-backed, so once the pool reaches its
-// high-water mark the event loop never touches the general heap.
+// Every event is keyed by (when, seq), seq being the number of at()/rearm()
+// calls issued before it; events fire in key order. Three structures keep
+// the heap small and the callbacks unmoved without changing that order:
+//
+//  - Slots. An event lives in a slot inside a fixed-size chunk drawn from
+//    the thread's slab pool (mem::thread_slab()), so a slot never moves.
+//    at() builds the callback in its slot (Task::emplace) and dispatch runs
+//    it there. Free slots form an intrusive LIFO list; once the chunk count
+//    reaches its high-water mark the loop never touches the general heap.
+//  - Same-instant runs. Consecutive at() calls for the same `when` take
+//    consecutive seqs, so no other event can be ordered between them: they
+//    are chained through Slot::next behind one heap entry, and dispatch
+//    walks the chain in order (skipping cancelled members). The run takes
+//    appends until a rearm() or until dispatch reaches its tail.
+//  - Exact re-arm. rearm() moving a timer later only records its new key in
+//    the slot; the heap entry stays where it was, and when it pops, the slot
+//    is requeued under the recorded key. Re-arming a timer per ACK therefore
+//    leaves one queued entry instead of a cancelled tombstone per ACK.
+//
+// A popped entry sets now() to its time even when every event behind it
+// was cancelled or moved, exactly as a queued tombstone would.
 #pragma once
 
 #include <cstdint>
 #include <queue>
+#include <utility>
 
 #include "common/arena.hpp"
 #include "common/types.hpp"
@@ -25,8 +39,8 @@ class Scheduler;
 
 /// Handle for a scheduled event; lets the owner cancel it. Copyable; all
 /// copies refer to the same pending event. A handle is a (slot, generation)
-/// tag into the scheduler's event pool and must not outlive the Scheduler
-/// that issued it.
+/// tag into the scheduler's slots and must not outlive the Scheduler that
+/// issued it.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -62,10 +76,48 @@ class Scheduler {
   /// Schedules `fn` to run at absolute virtual time `when`. A `when` in the
   /// past is clamped to now(): stale timers fire immediately instead of
   /// running time backwards (or blowing up mid-simulation).
-  EventHandle at(SimTime when, Task fn);
+  template <typename F>
+  EventHandle at(SimTime when, F&& fn) {
+    if (when < now_) when = now_;
+    const std::uint32_t index = free_head_ != kNone ? free_head_ : new_slot();
+    Slot& slot = slot_at(index);
+    slot.fn.emplace(std::forward<F>(fn));  // a throw leaves the slot free
+    free_head_ = slot.next;
+    enqueue(index, slot, when);
+    return EventHandle{this, index, slot.gen};
+  }
 
   /// Schedules `fn` to run `delay` microseconds from now.
-  EventHandle after(SimTime delay, Task fn);
+  template <typename F>
+  EventHandle after(SimTime delay, F&& fn) {
+    return at(now_ + delay, std::forward<F>(fn));
+  }
+
+  /// Replaces the event behind `handle` with `fn` at `when`. Observably the
+  /// same as `handle.cancel(); handle = at(when, fn);` — same key, same
+  /// issue_seq() step, and earlier copies of `handle` go stale — but a live
+  /// timer moved no earlier keeps its slot and its single heap entry.
+  template <typename F>
+  void rearm(EventHandle& handle, SimTime when, F&& fn) {
+    if (when < now_) when = now_;
+    if constexpr (Task::kNothrowEmplace<F>) {
+      if (handle.sched_ == this) {
+        Slot& slot = slot_at(handle.slot_);
+        if (slot.gen == handle.gen_ && !slot.cancelled && when >= slot.due) {
+          slot.fn = nullptr;
+          slot.fn.emplace(std::forward<F>(fn));
+          handle.gen_ = ++slot.gen;
+          slot.due = when;
+          slot.due_seq = seq_++;
+          slot.moved = true;
+          open_tail_ = kNone;  // the run's seqs are no longer consecutive
+          return;
+        }
+      }
+    }
+    handle.cancel();
+    handle = at(when, std::forward<F>(fn));
+  }
 
   /// Runs events until the queue drains.
   void run();
@@ -77,10 +129,11 @@ class Scheduler {
   /// Number of events executed since construction.
   std::uint64_t events_executed() const { return executed_; }
 
-  /// Monotone count of at()/after() calls issued so far. The pipe batcher
-  /// compares snapshots of this counter to prove that no event was scheduled
-  /// anywhere in the process between two sends — the order-isomorphism guard
-  /// that makes coalescing same-instant deliveries safe.
+  /// Monotone count of at()/after()/rearm() calls issued so far. The pipe
+  /// batcher compares snapshots of this counter to prove that no event was
+  /// scheduled anywhere in the process between two sends — the
+  /// order-isomorphism guard that makes coalescing same-instant deliveries
+  /// safe.
   std::uint64_t issue_seq() const { return seq_; }
 
   /// Credits `n` extra logical events against events_executed(). A batch
@@ -88,24 +141,36 @@ class Scheduler {
   /// executed count matches the scalar schedule exactly.
   void count_extra_events(std::uint64_t n) { executed_ += n; }
 
-  std::size_t pending_events() const { return queue_.size(); }
+  /// Number of entries in the heap: one per same-instant run, plus one per
+  /// re-armed timer whose old position has not popped yet. Cancelled events
+  /// stay counted until their entry pops; events chained behind another do
+  /// not count. Structural introspection for tests and benches.
+  std::size_t queued_entries() const { return heap_.size(); }
 
  private:
   friend class EventHandle;
 
-  /// Pooled event state; the heap refers to it by slot index + generation.
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
   struct Slot {
     Task fn;
-    std::uint32_t gen{0};
+    SimTime due{0};             // current key time (re-armed: the new one)
+    std::uint64_t due_seq{0};   // re-armed key seq; read only when `moved`
+    std::uint32_t next{kNone};  // same-instant run link, or free-list link
+    std::uint32_t gen{0};       // bumped when the event fires or is freed
     bool cancelled{false};
-    bool pending{false};
+    bool moved{false};  // re-armed: requeue at (due, due_seq) when reached
   };
-  /// What the priority queue actually orders: plain values, no ownership.
+
+  /// Slots per chunk: as many as fill one 32 KiB slab class.
+  static constexpr std::uint32_t kChunkSlots = 32 * 1024 / sizeof(Slot);
+
+  /// A heap entry: the first event of a same-instant run (or a requeued
+  /// timer). Plain values, no ownership.
   struct QueuedEvent {
     SimTime when;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t gen;
   };
   struct Later {
     bool operator()(const QueuedEvent& a, const QueuedEvent& b) const {
@@ -113,18 +178,44 @@ class Scheduler {
     }
   };
 
-  std::uint32_t acquire_slot(Task fn);
-  /// Recycles a slot: bumps the generation (invalidating handles) and
-  /// returns the std::function state to the pool for reuse.
-  void release_slot(std::uint32_t slot);
+  Slot& slot_at(std::uint32_t index) const {
+    return chunks_[index / kChunkSlots][index % kChunkSlots];
+  }
+
+  /// Queues the freshly filled slot `index` under (when, seq_++): appended
+  /// to the open same-instant run when it shares `when`, else behind a new
+  /// heap entry that opens a run.
+  void enqueue(std::uint32_t index, Slot& slot, SimTime when) {
+    slot.due = when;
+    slot.next = kNone;
+    slot.cancelled = false;
+    slot.moved = false;
+    if (open_tail_ != kNone && slot_at(open_tail_).due == when) {
+      slot_at(open_tail_).next = index;
+    } else {
+      heap_.push(QueuedEvent{when, seq_, index});
+    }
+    open_tail_ = index;
+    ++seq_;
+  }
+
+  /// Constructs the next never-used slot (starting a chunk when the last
+  /// one is full) and makes it the free-list head; returns its index.
+  std::uint32_t new_slot();
+  /// Destroys the slot's callback and frees the slot. Its generation must
+  /// already be bumped, so no handle still reaches it.
+  void release(std::uint32_t index, Slot& slot);
+  /// Runs the same-instant run headed by `ev`.
   void dispatch(const QueuedEvent& ev);
 
   SimTime now_{0};
   std::uint64_t seq_{0};
   std::uint64_t executed_{0};
-  std::priority_queue<QueuedEvent, mem::vector<QueuedEvent>, Later> queue_;
-  mem::vector<Slot> pool_;
-  mem::vector<std::uint32_t> free_slots_;
+  std::priority_queue<QueuedEvent, mem::vector<QueuedEvent>, Later> heap_;
+  mem::vector<Slot*> chunks_;
+  std::uint32_t constructed_{0};  // slots [0, constructed_) have been built
+  std::uint32_t free_head_{kNone};
+  std::uint32_t open_tail_{kNone};  // last event of the open run, if any
 };
 
 }  // namespace attain::sim

@@ -1,10 +1,15 @@
-// Move-only callable for scheduler events. std::function<void()> has a
-// ~16-byte small-buffer: every pipe-delivery lambda (which captures the
-// in-flight payload — a chan::Envelope is a few hundred bytes) spilled to
-// the general heap, one malloc/free per frame per hop. Task keeps a large
-// inline buffer sized for the fattest hot-path lambda, so scheduling is
-// allocation-free; the rare oversized callable lives on the calling
-// thread's slab pool (mem::thread_slab()), which recycles it.
+// Type-erased void() callable for scheduler events. std::function<void()>
+// has a ~16-byte small-buffer: every pipe-delivery lambda (which captures
+// the in-flight payload — a chan::Envelope is a few hundred bytes) would
+// spill to the general heap, one malloc/free per frame per hop. Task keeps
+// a large inline buffer sized for the fattest hot-path lambda; the rare
+// oversized callable lives on the calling thread's slab pool
+// (mem::thread_slab()), which recycles it.
+//
+// The scheduler never moves a Task: each event slot owns one, at() builds
+// the callable in it with emplace(), and dispatch invokes it where it
+// lies. Moving a Task still works (it relocates an inline callable through
+// its vtable), but no event pays for it.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +27,13 @@ class Task {
   /// message + wire bytes caches) with slack for capture padding.
   static constexpr std::size_t kInlineSize = 384;
 
+  /// True when emplacing an `F` cannot throw: the callable fits inline and
+  /// its construction from `F` is noexcept.
+  template <typename F>
+  static constexpr bool kNothrowEmplace =
+      sizeof(std::decay_t<F>) <= kInlineSize &&
+      std::is_nothrow_constructible_v<std::decay_t<F>, F>;
+
   Task() noexcept = default;
   Task(std::nullptr_t) noexcept {}
 
@@ -29,17 +41,7 @@ class Task {
                             !std::is_same_v<std::decay_t<F>, Task> &&
                             std::is_invocable_r_v<void, std::decay_t<F>&>>>
   Task(F&& f) {
-    using Fn = std::decay_t<F>;
-    static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                  "over-aligned callables are not supported");
-    if constexpr (sizeof(Fn) <= kInlineSize) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-    } else {
-      heap_ = mem::thread_slab().allocate(sizeof(Fn));
-      heap_size_ = sizeof(Fn);
-      ::new (heap_) Fn(std::forward<F>(f));
-    }
-    vt_ = &vtable_of<Fn>;
+    emplace(std::forward<F>(f));
   }
 
   Task(Task&& other) noexcept { steal(other); }
@@ -62,6 +64,30 @@ class Task {
 
   ~Task() { destroy(); }
 
+  /// Constructs `f` directly in this Task, which must be empty. If the
+  /// construction throws, the Task stays empty.
+  template <typename F>
+  void emplace(F&& f) {
+    using Fn = std::decay_t<F>;
+    static_assert(!std::is_same_v<Fn, Task>, "pass the callable itself, not a Task");
+    static_assert(std::is_invocable_r_v<void, Fn&>, "a Task runs a void() callable");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                  "over-aligned callables are not supported");
+    if constexpr (sizeof(Fn) <= kInlineSize) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+    } else {
+      void* heap = mem::thread_slab().allocate(sizeof(Fn));
+      try {
+        ::new (heap) Fn(std::forward<F>(f));
+      } catch (...) {
+        mem::thread_slab().deallocate(heap, sizeof(Fn));
+        throw;
+      }
+      heap_ = heap;
+    }
+    vt_ = &vtable_of<Fn>;
+  }
+
   explicit operator bool() const noexcept { return vt_ != nullptr; }
 
   void operator()() { vt_->invoke(target()); }
@@ -75,6 +101,7 @@ class Task {
     void (*invoke)(void*);
     void (*move_construct)(void* dst, void* src);  // src destroyed
     void (*destroy)(void*);
+    std::size_t size;  // sizeof the callable: what a slab block was sized for
   };
 
   template <typename Fn>
@@ -85,6 +112,7 @@ class Task {
         static_cast<Fn*>(src)->~Fn();
       },
       [](void* p) { static_cast<Fn*>(p)->~Fn(); },
+      sizeof(Fn),
   };
 
   void* target() noexcept { return heap_ != nullptr ? heap_ : static_cast<void*>(buf_); }
@@ -92,29 +120,25 @@ class Task {
   void steal(Task& other) noexcept {
     vt_ = other.vt_;
     heap_ = other.heap_;
-    heap_size_ = other.heap_size_;
     if (vt_ != nullptr && heap_ == nullptr) {
       vt_->move_construct(buf_, other.buf_);
     }
     other.vt_ = nullptr;
     other.heap_ = nullptr;
-    other.heap_size_ = 0;
   }
 
   void destroy() noexcept {
     if (vt_ == nullptr) return;
     vt_->destroy(target());
     if (heap_ != nullptr) {
-      mem::thread_slab().deallocate(heap_, heap_size_);
+      mem::thread_slab().deallocate(heap_, vt_->size);
       heap_ = nullptr;
-      heap_size_ = 0;
     }
     vt_ = nullptr;
   }
 
   const VTable* vt_{nullptr};
   void* heap_{nullptr};
-  std::size_t heap_size_{0};
   alignas(std::max_align_t) unsigned char buf_[kInlineSize];
 };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -110,6 +112,36 @@ TEST(Duplex, DirectionsAreIndependent) {
   sched.run();
   EXPECT_EQ(b_got, 1);
   EXPECT_EQ(a_got, 2);
+}
+
+TEST(Link, SerializationMatchesWideArithmetic) {
+  // serialization_delay divides in 64 bits up to kNarrowSerializationBytes
+  // and in 128 bits beyond; both must agree with the plain 128-bit formula,
+  // including where the quotient overflows SimTime.
+  const std::uint64_t sizes[] = {0,     1, 54, 1514, 65535, kNarrowSerializationBytes,
+                                 kNarrowSerializationBytes + 1};
+  const std::uint64_t bandwidths[] = {1, 100'000'000, 1'000'000'000, UINT64_MAX};
+  for (const std::uint64_t size : sizes) {
+    for (const std::uint64_t bandwidth : bandwidths) {
+      SCOPED_TRACE(::testing::Message() << size << " bytes at " << bandwidth << " bps");
+      const auto wide =
+          static_cast<SimTime>(static_cast<__int128>(size) * 8 * kSecond / bandwidth);
+      PipeConfig config;
+      config.bandwidth_bps = bandwidth;
+      config.propagation_delay = 0;
+      config.queue_limit = 0;
+      EXPECT_EQ(idle_pipe_latency(config, size), wide);
+
+      Scheduler sched;
+      Pipe<int> pipe(sched, config);
+      SimTime delivered_at = -1;
+      pipe.set_receiver([&](int) { delivered_at = sched.now(); });
+      pipe.send(0, size);
+      sched.run();
+      // A quotient that wraps SimTime negative lands in the past: clamped.
+      EXPECT_EQ(delivered_at, std::max<SimTime>(wide, 0));
+    }
+  }
 }
 
 }  // namespace
