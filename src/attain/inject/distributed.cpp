@@ -34,13 +34,13 @@ void DistributedInjector::attach_connection(ConnectionId id, chan::EnvelopeSink 
 }
 
 chan::EnvelopeSink DistributedInjector::switch_side_input(ConnectionId id) {
-  return [this, id](chan::Envelope envelope) {
+  return [this, id](chan::Envelope&& envelope) {
     on_envelope(id, chan::Direction::SwitchToController, std::move(envelope));
   };
 }
 
 chan::EnvelopeSink DistributedInjector::controller_side_input(ConnectionId id) {
-  return [this, id](chan::Envelope envelope) {
+  return [this, id](chan::Envelope&& envelope) {
     on_envelope(id, chan::Direction::ControllerToSwitch, std::move(envelope));
   };
 }
@@ -70,7 +70,7 @@ std::optional<std::string> DistributedInjector::current_state_of_shard(unsigned 
 }
 
 void DistributedInjector::on_envelope(ConnectionId id, chan::Direction direction,
-                                      chan::Envelope envelope) {
+                                      chan::Envelope&& envelope) {
   const auto endpoint = endpoints_.find(id);
   if (endpoint == endpoints_.end()) return;
   ++stats_.messages_interposed;
@@ -151,7 +151,7 @@ void DistributedInjector::deliver(const OutMessage& out, SimTime extra_delay) {
   };
   const SimTime delay = out.delay + extra_delay;
   if (delay > 0) {
-    sched_.after(delay, do_send);
+    sched_.after(delay, std::move(do_send));
   } else {
     do_send();
   }

@@ -85,7 +85,7 @@ class DistributedInjector {
     bool tls{false};
   };
 
-  void on_envelope(ConnectionId id, chan::Direction direction, chan::Envelope envelope);
+  void on_envelope(ConnectionId id, chan::Direction direction, chan::Envelope&& envelope);
   void execute_and_deliver(AttackExecutor& executor, const lang::InFlightMessage& msg,
                            SimTime extra_delivery_delay);
   void deliver(const OutMessage& out, SimTime extra_delay);

@@ -51,13 +51,13 @@ void RuntimeInjector::attach_channel(chan::Channel& channel, ConnectionId id) {
 }
 
 chan::EnvelopeSink RuntimeInjector::switch_side_input(ConnectionId id) {
-  return [this, id](chan::Envelope envelope) {
+  return [this, id](chan::Envelope&& envelope) {
     on_envelope(id, chan::Direction::SwitchToController, std::move(envelope));
   };
 }
 
 chan::EnvelopeSink RuntimeInjector::controller_side_input(ConnectionId id) {
-  return [this, id](chan::Envelope envelope) {
+  return [this, id](chan::Envelope&& envelope) {
     on_envelope(id, chan::Direction::ControllerToSwitch, std::move(envelope));
   };
 }
@@ -83,7 +83,7 @@ std::optional<std::string> RuntimeInjector::current_state() const {
 }
 
 lang::InFlightMessage RuntimeInjector::make_in_flight(ConnectionId id, chan::Direction direction,
-                                                      chan::Envelope envelope, bool tls) {
+                                                      chan::Envelope&& envelope, bool tls) {
   lang::InFlightMessage msg;
   msg.connection = id;
   msg.direction = direction;
@@ -102,7 +102,7 @@ lang::InFlightMessage RuntimeInjector::make_in_flight(ConnectionId id, chan::Dir
 }
 
 void RuntimeInjector::on_envelope(ConnectionId id, chan::Direction direction,
-                                  chan::Envelope envelope) {
+                                  chan::Envelope&& envelope) {
   const auto endpoint = endpoints_.find(id);
   if (endpoint == endpoints_.end()) return;  // connection never attached
   interpose(id, endpoint->second, direction, std::move(envelope));
@@ -232,7 +232,7 @@ void RuntimeInjector::deliver(const OutMessage& out) {
   };
 
   if (out.delay > 0) {
-    sched_.after(out.delay, do_send);
+    sched_.after(out.delay, std::move(do_send));
   } else {
     do_send();
   }

@@ -64,7 +64,7 @@ class RuntimeInjector {
 
   /// The interposition point itself: every frame of an attached connection
   /// lands here (via a channel's proxy sink or the side-input sinks).
-  void on_envelope(ConnectionId id, chan::Direction direction, chan::Envelope envelope);
+  void on_envelope(ConnectionId id, chan::Direction direction, chan::Envelope&& envelope);
 
   /// Arms an attack: the executor starts at σ_start with fresh storage.
   /// Both referents must outlive the injector or a later disarm().
@@ -111,7 +111,7 @@ class RuntimeInjector {
   void process_now(const lang::InFlightMessage& msg);
   void deliver(const OutMessage& out);
   lang::InFlightMessage make_in_flight(ConnectionId id, chan::Direction direction,
-                                       chan::Envelope envelope, bool tls);
+                                       chan::Envelope&& envelope, bool tls);
 
   sim::Scheduler& sched_;
   const topo::SystemModel& system_;

@@ -73,41 +73,41 @@ Channel::Channel(sim::Scheduler& sched, ChannelConfig config)
   // All four hops deliver in bursts: flood-shaped traffic — many sends
   // sharing a zero-serialize delivery instant — crosses each hop as one
   // event per burst, and a lone frame is a burst of one.
-  switch_to_proxy_.set_batch_receiver([this](EnvelopeBatch batch) {
-    arrive_at_proxy_batch(Direction::SwitchToController, std::move(batch));
+  switch_to_proxy_.set_batch_receiver([this](EnvelopeBatch& batch) {
+    arrive_at_proxy_batch(Direction::SwitchToController, batch);
   });
-  controller_to_proxy_.set_batch_receiver([this](EnvelopeBatch batch) {
-    arrive_at_proxy_batch(Direction::ControllerToSwitch, std::move(batch));
+  controller_to_proxy_.set_batch_receiver([this](EnvelopeBatch& batch) {
+    arrive_at_proxy_batch(Direction::ControllerToSwitch, batch);
   });
-  proxy_to_switch_.set_batch_receiver([this](EnvelopeBatch batch) {
-    deliver_batch(Direction::ControllerToSwitch, std::move(batch));
+  proxy_to_switch_.set_batch_receiver([this](EnvelopeBatch& batch) {
+    deliver_batch(Direction::ControllerToSwitch, batch);
   });
-  proxy_to_controller_.set_batch_receiver([this](EnvelopeBatch batch) {
-    deliver_batch(Direction::SwitchToController, std::move(batch));
+  proxy_to_controller_.set_batch_receiver([this](EnvelopeBatch& batch) {
+    deliver_batch(Direction::SwitchToController, batch);
   });
 }
 
-void Channel::send_from_switch(Envelope envelope) {
+void Channel::send_from_switch(Envelope&& envelope) {
   ++dir_counters(Direction::SwitchToController).frames;
   const std::size_t size = envelope.wire_size();
   switch_to_proxy_.send(std::move(envelope), size);
 }
 
-void Channel::send_from_controller(Envelope envelope) {
+void Channel::send_from_controller(Envelope&& envelope) {
   ++dir_counters(Direction::ControllerToSwitch).frames;
   const std::size_t size = envelope.wire_size();
   controller_to_proxy_.send(std::move(envelope), size);
 }
 
 EnvelopeSink Channel::switch_sender() {
-  return [this](Envelope e) { send_from_switch(std::move(e)); };
+  return [this](Envelope&& e) { send_from_switch(std::move(e)); };
 }
 
 EnvelopeSink Channel::controller_sender() {
-  return [this](Envelope e) { send_from_controller(std::move(e)); };
+  return [this](Envelope&& e) { send_from_controller(std::move(e)); };
 }
 
-void Channel::arrive_at_proxy_batch(Direction direction, EnvelopeBatch batch) {
+void Channel::arrive_at_proxy_batch(Direction direction, EnvelopeBatch& batch) {
   DirectionCounters& counters = dir_counters(direction);
   for (sim::BatchItem<Envelope>& item : batch) {
     Envelope& envelope = item.payload;
@@ -138,7 +138,7 @@ void Channel::arrive_at_proxy_batch(Direction direction, EnvelopeBatch batch) {
   }
 }
 
-void Channel::forward(Direction direction, Envelope envelope) {
+void Channel::forward(Direction direction, Envelope&& envelope) {
   ++dir_counters(direction).forwarded;
   const std::size_t size = envelope.wire_size();
   if (direction == Direction::SwitchToController) {
@@ -152,7 +152,7 @@ void Channel::note_suppressed(Direction direction) {
   ++dir_counters(direction).suppressed;
 }
 
-void Channel::deliver(Direction direction, Envelope envelope) {
+void Channel::deliver(Direction direction, Envelope&& envelope) {
   envelope.unseal();
   if (envelope.has_message()) {
     // The endpoint consumes the cached view instead of re-decoding.
@@ -163,7 +163,7 @@ void Channel::deliver(Direction direction, Envelope envelope) {
   if (sink) sink(std::move(envelope));
 }
 
-void Channel::deliver_batch(Direction direction, EnvelopeBatch batch) {
+void Channel::deliver_batch(Direction direction, EnvelopeBatch& batch) {
   for (sim::BatchItem<Envelope>& item : batch) {
     deliver(direction, std::move(item.payload));
   }

@@ -92,7 +92,7 @@ using EnvelopeBatch = sim::PayloadBatch<Envelope>;
 /// The proxy step at a channel's proxy point: receives every frame (both
 /// directions) and either passes it on through Channel::forward() or
 /// consumes it.
-using ProxySink = std::function<void(Direction, Envelope)>;
+using ProxySink = std::function<void(Direction, Envelope&&)>;
 
 struct ChannelConfig {
   std::string name{"chan"};
@@ -123,8 +123,8 @@ class Channel {
 
   /// Ingress: endpoints send their frames here (the switch's control
   /// sender / the controller's connection sender).
-  void send_from_switch(Envelope envelope);
-  void send_from_controller(Envelope envelope);
+  void send_from_switch(Envelope&& envelope);
+  void send_from_controller(Envelope&& envelope);
   /// The above, bound as sinks for handing to endpoints.
   EnvelopeSink switch_sender();
   EnvelopeSink controller_sender();
@@ -136,7 +136,7 @@ class Channel {
   /// Egress from the proxy point: sends the envelope down the pipe toward
   /// the endpoint `direction` points at. Used by the proxy sink (and by the
   /// channel itself when no sink is installed).
-  void forward(Direction direction, Envelope envelope);
+  void forward(Direction direction, Envelope&& envelope);
   /// Accounting hook for a proxy sink that consumed a frame.
   void note_suppressed(Direction direction);
 
@@ -156,9 +156,9 @@ class Channel {
  private:
   /// Proxy-point ingress (the only one): per envelope, TLS sealing, codec
   /// accounting and the trace entry, then the proxy sink.
-  void arrive_at_proxy_batch(Direction direction, EnvelopeBatch batch);
-  void deliver_batch(Direction direction, EnvelopeBatch batch);
-  void deliver(Direction direction, Envelope envelope);
+  void arrive_at_proxy_batch(Direction direction, EnvelopeBatch& batch);
+  void deliver_batch(Direction direction, EnvelopeBatch& batch);
+  void deliver(Direction direction, Envelope&& envelope);
   DirectionCounters& dir_counters(Direction direction) {
     return counters_[static_cast<std::size_t>(direction)];
   }

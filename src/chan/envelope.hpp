@@ -105,8 +105,9 @@ class Envelope {
 };
 
 /// A typed destination for envelopes: endpoint delivery, channel ingress,
-/// and injector side-inputs all share this shape.
-using EnvelopeSink = std::function<void(Envelope)>;
+/// and injector side-inputs all share this shape. The sink takes the
+/// envelope by rvalue reference and may move from it.
+using EnvelopeSink = std::function<void(Envelope&&)>;
 
 /// Shared endpoint-ingress step (the switch and the controller used to
 /// carry copy-pasted decode-catch-log loops): unseals the envelope and

@@ -251,20 +251,18 @@ SlabRegistry& registry() {
   return *r;
 }
 
-SlabPool* make_thread_slab() {
-  SlabPool* pool = new SlabPool;
-  SlabRegistry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  r.pools.push_back(pool);
-  return pool;
-}
-
 thread_local std::uint64_t t_run_boundaries = 0;
 
 }  // namespace
 
-SlabPool& thread_slab() {
-  static thread_local SlabPool* pool = make_thread_slab();
+SlabPool& detail::make_thread_slab() {
+  SlabPool* pool = new SlabPool;
+  {
+    SlabRegistry& r = registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    r.pools.push_back(pool);
+  }
+  t_thread_slab = pool;
   return *pool;
 }
 

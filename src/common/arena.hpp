@@ -188,9 +188,20 @@ class SlabPool {
   Stats stats_;
 };
 
+namespace detail {
+/// The calling thread's pool once created. Constant-initialized, so reading
+/// it is a plain thread-local load with no initialization guard.
+inline constinit thread_local SlabPool* t_thread_slab = nullptr;
+/// Cold path of thread_slab(): creates, registers and caches the pool.
+SlabPool& make_thread_slab();
+}  // namespace detail
+
 /// The calling thread's slab pool. Created on first use, registered in a
 /// process-global registry, and never destroyed (see file comment).
-SlabPool& thread_slab();
+inline SlabPool& thread_slab() {
+  if (SlabPool* pool = detail::t_thread_slab) [[likely]] return *pool;
+  return detail::make_thread_slab();
+}
 
 /// Aggregate view over every thread slab ever created (registry-wide sums;
 /// other threads' counters are read racily — use for reporting only).

@@ -12,7 +12,7 @@ ConnHandle Controller::add_connection(chan::EnvelopeSink send) {
   return conns_.size() - 1;
 }
 
-void Controller::on_envelope(ConnHandle conn, chan::Envelope envelope) {
+void Controller::on_envelope(ConnHandle conn, chan::Envelope&& envelope) {
   ++counters_.messages_received;
   if (processing_delay_ == 0) {
     process(conn, envelope);

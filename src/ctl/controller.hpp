@@ -53,7 +53,7 @@ class Controller {
 
   /// Delivers an envelope arriving from connection `conn`. The message is
   /// queued behind the controller's processing backlog.
-  void on_envelope(ConnHandle conn, chan::Envelope envelope);
+  void on_envelope(ConnHandle conn, chan::Envelope&& envelope);
   /// Raw-wire convenience overload (frames one envelope).
   void on_bytes(ConnHandle conn, const Bytes& frame);
 

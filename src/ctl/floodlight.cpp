@@ -4,7 +4,6 @@
 #include <deque>
 
 #include "common/log.hpp"
-#include "packet/codec.hpp"
 
 namespace attain::ctl {
 
@@ -24,7 +23,7 @@ void FloodlightForwarding::send_lldp_probes(ConnHandle conn) {
     out.buffer_id = ofp::kNoBuffer;
     out.in_port = static_cast<std::uint16_t>(ofp::Port::None);
     out.actions = ofp::output_to(port.port_no);
-    out.data = pkt::encode(pkt::make_lldp(port.hw_addr, dpid, port.port_no));
+    out.data = pkt::Frame(pkt::make_lldp(port.hw_addr, dpid, port.port_no));
     ++lldp_probes_sent_;
     send(conn, ofp::make_message(next_xid(), std::move(out)));
   }
@@ -32,12 +31,9 @@ void FloodlightForwarding::send_lldp_probes(ConnHandle conn) {
 }
 
 void FloodlightForwarding::on_packet_in(ConnHandle conn, const ofp::PacketIn& pin) {
-  pkt::Packet packet;
-  try {
-    packet = pkt::decode(pin.data);
-  } catch (const DecodeError&) {
-    return;
-  }
+  const std::optional<pkt::Packet> view = pin.data.packet();
+  if (!view) return;
+  const pkt::Packet& packet = *view;
   const std::uint64_t dpid = dpid_of(conn);
   const PortRef here{dpid, pin.in_port};
 

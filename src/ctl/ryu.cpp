@@ -1,16 +1,11 @@
 #include "ctl/ryu.hpp"
 
-#include "packet/codec.hpp"
-
 namespace attain::ctl {
 
 void RyuSimpleSwitch::on_packet_in(ConnHandle conn, const ofp::PacketIn& pin) {
-  pkt::Packet packet;
-  try {
-    packet = pkt::decode(pin.data);
-  } catch (const DecodeError&) {
-    return;
-  }
+  const std::optional<pkt::Packet> view = pin.data.packet();
+  if (!view) return;
+  const pkt::Packet& packet = *view;
   auto& macs = tables_[conn];
   macs[packet.eth.src.to_u64()] = pin.in_port;
 

@@ -71,7 +71,7 @@ struct BodyEncoder {
     w.u16(m.in_port);
     w.u8(static_cast<std::uint8_t>(m.reason));
     w.pad(1);
-    w.raw(m.data);
+    w.raw(m.data.bytes());
   }
   void operator()(const FlowRemoved& m) const {
     m.match.encode(w);
@@ -96,7 +96,7 @@ struct BodyEncoder {
     w.u16(m.in_port);
     w.u16(static_cast<std::uint16_t>(actions_wire_size(m.actions)));
     encode_actions(w, m.actions);
-    w.raw(m.data);
+    w.raw(m.data.bytes());
   }
   void operator()(const FlowMod& m) const {
     m.match.encode(w);

@@ -9,6 +9,7 @@
 
 #include "common/bytes.hpp"
 #include "ofp/messages.hpp"
+#include "packet/codec.hpp"
 
 namespace attain::ofp {
 
@@ -24,12 +25,8 @@ struct Header {
 /// Table II codec-savings test (test_channel.cpp) measures the decode-once
 /// envelope path against the encode/decode/decode byte pipeline with them.
 /// Thread-local so parallel sweep workers never race — each cell reads its
-/// own thread's tally.
-struct CodecOpCounters {
-  std::uint64_t encodes{0};
-  std::uint64_t decodes{0};
-  std::uint64_t total() const { return encodes + decodes; }
-};
+/// own thread's tally. (pkt::codec_ops() counts the data-plane codec.)
+using CodecOpCounters = pkt::CodecOpCounters;
 
 CodecOpCounters& codec_ops();
 void reset_codec_ops();

@@ -14,6 +14,7 @@
 #include "ofp/actions.hpp"
 #include "ofp/constants.hpp"
 #include "ofp/match.hpp"
+#include "packet/frame.hpp"
 
 namespace attain::ofp {
 
@@ -93,8 +94,9 @@ struct PacketIn {
   std::uint16_t total_len{0};
   std::uint16_t in_port{0};
   PacketInReason reason{PacketInReason::NoMatch};
-  /// Raw frame bytes (possibly truncated to miss_send_len when buffered).
-  Bytes data;
+  /// The frame (truncated to miss_send_len when buffered); typed when the
+  /// switch built it, bytes when decoded from the wire.
+  pkt::Frame data;
   friend bool operator==(const PacketIn&, const PacketIn&) = default;
 };
 
@@ -121,8 +123,8 @@ struct PacketOut {
   std::uint32_t buffer_id{kNoBuffer};
   std::uint16_t in_port{static_cast<std::uint16_t>(Port::None)};
   ActionList actions;
-  /// Frame bytes; meaningful only when buffer_id == kNoBuffer.
-  Bytes data;
+  /// The frame; meaningful only when buffer_id == kNoBuffer.
+  pkt::Frame data;
   friend bool operator==(const PacketOut&, const PacketOut&) = default;
 };
 

@@ -107,15 +107,18 @@ bool set_total_len_field(Message& m, std::uint64_t v) {
   return false;
 }
 
-/// The trailing raw-data member of the body types that carry one.
+/// The trailing raw-data member of the body types that carry one. A typed
+/// PACKET_IN/PACKET_OUT frame is materialized to bytes (the template keeps
+/// its message and wire in lock step byte for byte).
 Bytes* data_field(Message& m) {
   return std::visit(
       [](auto& body) -> Bytes* {
         using T = std::decay_t<decltype(body)>;
         if constexpr (std::is_same_v<T, Error> || std::is_same_v<T, EchoRequest> ||
-                      std::is_same_v<T, EchoReply> || std::is_same_v<T, Vendor> ||
-                      std::is_same_v<T, PacketIn> || std::is_same_v<T, PacketOut>) {
+                      std::is_same_v<T, EchoReply> || std::is_same_v<T, Vendor>) {
           return &body.data;
+        } else if constexpr (std::is_same_v<T, PacketIn> || std::is_same_v<T, PacketOut>) {
+          return &body.data.mutable_bytes();
         } else {
           return nullptr;
         }

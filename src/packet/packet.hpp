@@ -1,7 +1,8 @@
 // Data-plane packet model: address types and typed protocol headers for the
 // protocols the case study exercises (Ethernet, ARP, IPv4, ICMP, TCP-lite,
-// UDP). Packets can be serialized to wire bytes (packet/codec.hpp) so the
-// OpenFlow PACKET_IN / PACKET_OUT path carries real frames.
+// UDP). Packets can be serialized to wire bytes (packet/codec.hpp); the
+// OpenFlow PACKET_IN / PACKET_OUT path carries them as pkt::Frame values
+// (packet/frame.hpp), whose bytes are encoded only when something reads them.
 #pragma once
 
 #include <array>

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "packet/codec.hpp"
 #include "topo/generators.hpp"
 
 namespace attain::scenario {
@@ -127,7 +126,7 @@ LinkFabricationAttack make_link_fabrication_attack(const topo::SystemModel& mode
     pin.buffer_id = ofp::kNoBuffer;
     pin.in_port = in_port;
     pin.reason = ofp::PacketInReason::NoMatch;
-    pin.data = pkt::encode(pkt::make_lldp(
+    pin.data = pkt::Frame(pkt::make_lldp(
         pkt::MacAddress::from_u64((origin_dpid << 8) | origin_port), origin_dpid, origin_port));
     pin.total_len = static_cast<std::uint16_t>(pin.data.size());
     return ofp::make_message(0, std::move(pin));

@@ -9,7 +9,6 @@
 #include "attain/dsl/parser.hpp"
 #include "common/arena.hpp"
 #include "packet/codec.hpp"
-#include "packet/stamp.hpp"
 #include "topo/generators.hpp"
 
 namespace attain::scenario {
@@ -71,11 +70,11 @@ void Testbed::build() {
                                 sim::Pipe<pkt::Packet>& pipe) {
       if (dst.kind == EntityKind::Host) {
         dpl::Host* h = hosts_[dst.index].get();
-        pipe.set_receiver([h](pkt::Packet p) { h->on_packet(p); });
+        pipe.set_receiver([h](pkt::Packet&& p) { h->on_packet(p); });
       } else {
         swsim::OpenFlowSwitch* sw = switches_[dst.index].get();
         const std::uint16_t port = dst_port.value();
-        pipe.set_receiver([sw, port](pkt::Packet p) { sw->on_packet(port, std::move(p)); });
+        pipe.set_receiver([sw, port](pkt::Packet&& p) { sw->on_packet(port, std::move(p)); });
       }
     };
     wire_receiver(link.b, link.b_port, *a_to_b);
@@ -126,8 +125,8 @@ void Testbed::build() {
     const ctl::ConnHandle handle = controller_->add_connection(channel->controller_sender());
 
     channel->set_switch_sink(
-        [sw](chan::Envelope e) { sw->on_control_envelope(std::move(e)); });
-    channel->set_controller_sink([this, handle](chan::Envelope e) {
+        [sw](chan::Envelope&& e) { sw->on_control_envelope(std::move(e)); });
+    channel->set_controller_sink([this, handle](chan::Envelope&& e) {
       controller_->on_envelope(handle, std::move(e));
     });
 
@@ -630,36 +629,26 @@ class VolumetricWarmup final : public WarmupPhase {
     }
   }
 
-  /// Flood emission: one PacketBatch per (source, interval) event, frames
-  /// produced by a template stamper (memcpy + src MAC/IP/port patch, bytes
-  /// validated identical to make_tcp + pkt::encode). The prototype is a
-  /// fixed TCP SYN, whose flood-varying fields always stamp.
+  /// Flood emission: one PacketBatch per (source, interval) event. Every
+  /// packet is a fixed TCP SYN toward the victim with the flow's own source
+  /// MAC, IPv4 address and TCP port; the switch ships each miss as a typed
+  /// frame, so no packet is encoded.
   void emit_flood_batch(swsim::OpenFlowSwitch& sw, std::uint16_t port, std::uint64_t base,
                         std::uint64_t lo, std::uint64_t hi, pkt::MacAddress victim_mac,
                         pkt::Ipv4Address victim_ip) {
-    if (!flood_stamper_) {
-      pkt::TcpHeader tcp;
-      tcp.src_port = 40000;
-      tcp.dst_port = 80;
-      tcp.flags = pkt::kTcpSyn;
-      flood_stamper_.emplace(pkt::make_tcp(pkt::MacAddress::from_u64(0x0aad00000000ULL),
-                                           victim_mac, pkt::Ipv4Address{0xc0000000u}, victim_ip,
-                                           tcp, /*payload_size=*/0, /*tag=*/0));
-    }
-    pkt::FrameStamper& st = *flood_stamper_;
-    if (!st.can_stamp_src_mac() || !st.can_stamp_src_ip() || !st.can_stamp_src_port()) {
-      throw std::logic_error("volumetric flood: TCP SYN prototype is not stampable");
-    }
+    pkt::TcpHeader tcp;
+    tcp.dst_port = 80;
+    tcp.flags = pkt::kTcpSyn;
+    pkt::Packet packet = pkt::make_tcp(pkt::MacAddress{}, victim_mac, pkt::Ipv4Address{},
+                                       victim_ip, tcp, /*payload_size=*/0, /*tag=*/0);
     swsim::PacketBatch batch;
     batch.port = port;
     batch.packets.reserve(hi - lo);
-    batch.wires.reserve(hi - lo);
     for (std::uint64_t f = lo; f < hi; ++f) {
-      st.set_src_mac(pkt::MacAddress::from_u64(0x0aad00000000ULL | (base + f)));
-      st.set_src_ip(pkt::Ipv4Address{static_cast<std::uint32_t>(0xc0000000u + base + f)});
-      st.set_src_port(static_cast<std::uint16_t>(40000 + (f & 0x3fff)));
-      batch.packets.push_back(st.emit_packet());
-      batch.wires.push_back(st.emit_wire());
+      packet.eth.src = pkt::MacAddress::from_u64(0x0aad00000000ULL | (base + f));
+      packet.ipv4->src = pkt::Ipv4Address{static_cast<std::uint32_t>(0xc0000000u + base + f)};
+      packet.tcp->src_port = static_cast<std::uint16_t>(40000 + (f & 0x3fff));
+      batch.packets.push_back(packet);
       ++injected_;
     }
     sw.on_packet_batch(std::move(batch));
@@ -668,7 +657,6 @@ class VolumetricWarmup final : public WarmupPhase {
   RunSpec rep_;
   std::unique_ptr<Testbed> bed_;
   std::unique_ptr<dpl::PingApp> ping_;
-  std::optional<pkt::FrameStamper> flood_stamper_;
   std::uint64_t injected_{0};
   std::uint64_t peak_{0};
 };

@@ -37,7 +37,7 @@ void OpenFlowSwitch::send_message(ofp::Message msg) {
   send_control_(chan::Envelope(std::move(msg)));  // typed; wire bytes encode only if read
 }
 
-void OpenFlowSwitch::on_control_envelope(chan::Envelope envelope) {
+void OpenFlowSwitch::on_control_envelope(chan::Envelope&& envelope) {
   ++counters_.control_rx;
   const ofp::Message* msg =
       chan::ingress_decode(envelope, config_.name, counters_.decode_errors);
@@ -164,12 +164,12 @@ void OpenFlowSwitch::handle_packet_out(const ofp::PacketOut& out) {
     buffers_.erase(it);
   } else {
     if (out.data.empty()) return;
-    try {
-      packet = pkt::decode(out.data);
-    } catch (const DecodeError&) {
+    std::optional<pkt::Packet> view = out.data.packet();
+    if (!view) {
       ++counters_.decode_errors;
       return;
     }
+    packet = std::move(*view);
   }
   apply_actions(out.actions, std::move(packet), in_port);
 }
@@ -340,7 +340,6 @@ void OpenFlowSwitch::on_packet_batch(PacketBatch batch) {
   }
   const SimTime now = sched_.now();
   const std::size_t count = batch.packets.size();
-  const bool have_wires = batch.wires.size() == count;
   // Slab-backed scratch: steady-state batches recycle these pages.
   mem::vector<pkt::FlowKey> keys;
   mem::vector<std::size_t> sizes;
@@ -362,34 +361,26 @@ void OpenFlowSwitch::on_packet_batch(PacketBatch batch) {
       continue;
     }
     ++counters_.table_misses;
-    if (have_wires) {
-      table_miss(batch.packets[i], batch.wires[i], batch.port);
-    } else {
-      table_miss(batch.packets[i], batch.port);
-    }
+    table_miss(batch.packets[i], batch.port);
   }
 }
 
 void OpenFlowSwitch::table_miss(const pkt::Packet& packet, std::uint16_t in_port) {
-  table_miss(packet, pkt::encode(packet), in_port);
-}
-
-void OpenFlowSwitch::table_miss(const pkt::Packet& packet, const Bytes& frame,
-                                std::uint16_t in_port) {
   // Buffering decision first, exactly the scalar order: buffer id, then
   // the shipped data region (miss_send_len-truncated when buffered, the
-  // whole frame when the pool is exhausted), then the xid.
+  // whole frame when the pool is exhausted), then the xid. The frame is
+  // typed: its bytes are encoded only if something on the path reads them.
   ofp::PacketIn pin;  // buffer_id kNoBuffer, reason NoMatch
   pin.in_port = in_port;
-  pin.total_len = static_cast<std::uint16_t>(frame.size());
-  std::size_t data_size = frame.size();
+  pin.total_len = static_cast<std::uint16_t>(pkt::encoded_size(packet));
+  std::size_t cap = pkt::Frame::kWhole;
   if (buffers_.size() < config_.buffer_capacity) {
     pin.buffer_id = next_buffer_id_++;
     buffers_[pin.buffer_id] = Buffered{packet, in_port, sched_.now()};
-    data_size = std::min<std::size_t>(frame.size(), config_.miss_send_len);
+    cap = config_.miss_send_len;
   }
   ++counters_.packet_in_sent;
-  pin.data.assign(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(data_size));
+  pin.data = pkt::Frame(packet, cap);
   send_message(ofp::make_message(next_xid(), std::move(pin)));
 }
 

@@ -23,15 +23,12 @@
 
 namespace attain::swsim {
 
-/// A burst of data-plane frames arriving on one ingress port at one
-/// instant (the volumetric flood generators emit these). `wires`, when the
-/// same length as `packets`, carries each packet's encoded frame —
-/// byte-identical to pkt::encode(packets[i]) — so a table miss reuses it
-/// instead of re-encoding; leave it empty to encode on demand.
+/// A burst of data-plane packets arriving on one ingress port at one
+/// instant (the volumetric flood generators emit these). A table miss
+/// ships each packet as a typed pkt::Frame, so no packet is encoded.
 struct PacketBatch {
   std::uint16_t port{0};
   mem::vector<pkt::Packet> packets;
-  mem::vector<Bytes> wires;
 };
 
 struct SwitchConfig {
@@ -92,7 +89,7 @@ class OpenFlowSwitch {
 
   /// Delivers a control-channel envelope from the controller side. An
   /// unparseable frame draws a BadRequest error reply.
-  void on_control_envelope(chan::Envelope envelope);
+  void on_control_envelope(chan::Envelope&& envelope);
   /// Raw-wire convenience overload (frames one envelope).
   void on_control_bytes(const Bytes& frame);
 
@@ -133,9 +130,6 @@ class OpenFlowSwitch {
   void output_packet(std::uint16_t out_port, const pkt::Packet& packet, std::uint16_t in_port);
   void flood(const pkt::Packet& packet, std::uint16_t in_port);
   void table_miss(const pkt::Packet& packet, std::uint16_t in_port);
-  /// table_miss with the packet's frame already encoded (`frame` must equal
-  /// pkt::encode(packet) byte-for-byte).
-  void table_miss(const pkt::Packet& packet, const Bytes& frame, std::uint16_t in_port);
   void standalone_forward(const pkt::Packet& packet, std::uint16_t in_port);
   void send_message(ofp::Message msg);
   void send_flow_removed(const ExpiredEntry& expired);

@@ -97,7 +97,6 @@ swsim::PacketBatch flood_batch(std::uint16_t port, int count) {
                                   pkt::Ipv4Address{static_cast<std::uint32_t>(0xc0000000u + f)},
                                   pkt::Ipv4Address{0x0a000202}, tcp, 0, 0);
     batch.packets.push_back(std::move(p));
-    batch.wires.push_back(pkt::encode(batch.packets.back()));
   }
   return batch;
 }

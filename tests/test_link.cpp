@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -142,6 +143,58 @@ TEST(Link, SerializationMatchesWideArithmetic) {
       EXPECT_EQ(delivered_at, std::max<SimTime>(wide, 0));
     }
   }
+}
+
+// Batches reach the receiver by reference, and the pipe keeps each slot's
+// storage: after warm-up a single-item batch allocates nothing from the
+// thread slab. A send from inside the receiver lands in a later batch, in
+// order, without touching the batch being delivered; a receiver that
+// throws still hands its slot back.
+TEST(Pipe, BatchDeliveryReusesSlotCapacity) {
+  Scheduler sched;
+  Pipe<int> pipe(sched, PipeConfig{0, 10, 0});
+  std::vector<std::vector<int>> batches;
+  batches.reserve(64);
+  bool resend = false;
+  bool fail = false;
+  pipe.set_batch_receiver([&](PayloadBatch<int>& items) {
+    if (fail) {
+      fail = false;
+      throw std::runtime_error("receiver failed");
+    }
+    std::vector<int> got;
+    for (const BatchItem<int>& item : items) got.push_back(item.payload);
+    batches.push_back(std::move(got));
+    if (resend) {
+      resend = false;
+      pipe.send(100, 8);
+      pipe.send(101, 8);
+      EXPECT_EQ(items.size(), 1u) << "a send from the receiver reused the delivered slot";
+      EXPECT_EQ(items[0].payload, 7);
+    }
+  });
+  auto deliver_one = [&](int value) {
+    pipe.send(value, 8);
+    sched.run();
+  };
+  for (int i = 0; i < 4; ++i) deliver_one(i);  // warm-up: slot, heap, scheduler chunk
+
+  const std::uint64_t allocs_before = mem::thread_slab().stats().allocs;
+  for (int i = 0; i < 32; ++i) deliver_one(i);
+  EXPECT_EQ(mem::thread_slab().stats().allocs, allocs_before);
+
+  batches.clear();
+  resend = true;
+  deliver_one(7);
+  EXPECT_EQ(batches, (std::vector<std::vector<int>>{{7}, {100, 101}}));
+
+  fail = true;
+  pipe.send(8, 8);
+  EXPECT_THROW(sched.run(), std::runtime_error);
+  batches.clear();
+  deliver_one(9);
+  EXPECT_EQ(batches, (std::vector<std::vector<int>>{{9}}));
+  EXPECT_EQ(pipe.stats().delivered, 4u + 32u + 3u + 1u + 1u);
 }
 
 }  // namespace
