@@ -12,7 +12,11 @@
 //                    per-message timings, rules/sec, guard skip rate, and
 //                    the steady-state allocation count of the compiled
 //                    path (expected: 0; the binary links
-//                    common/alloc_hook.cpp for the count).
+//                    common/alloc_hook.cpp for the count). An interpose
+//                    leg runs the same mix through
+//                    RuntimeInjector::on_envelope with counting sinks and
+//                    records interpose_per_message_ns and the thread-slab
+//                    allocations of its timed loop (record-only).
 //                    tools/bench_baseline.py gates the *_seconds
 //                    metrics against the committed BENCH_injector.json.
 #include <benchmark/benchmark.h>
@@ -26,6 +30,7 @@
 #include "attain/inject/proxy.hpp"
 #include "bench_json.hpp"
 #include "common/alloc_hook.hpp"
+#include "common/arena.hpp"
 #include "ofp/codec.hpp"
 #include "packet/codec.hpp"
 #include "scenario/enterprise.hpp"
@@ -381,7 +386,50 @@ int run_harness(const std::string& json_path) {
     return 1;
   }
 
+  // --- Interposition: the mix through the proxy's on_envelope(), armed
+  // with the same rules, counters-only monitor, counting sinks. Each pass
+  // consumes its own pre-built envelopes.
+  std::uint64_t interpose_delivered = 0;
+  std::uint64_t interpose_slab_allocations = 0;
+  const double interpose_s = [&] {
+    sim::Scheduler sched;
+    monitor::Monitor monitor;
+    monitor.set_counters_only(true);
+    inject::RuntimeInjector injector{sched, model, monitor};
+    const ConnectionId conn = mix.front().connection;
+    injector.attach_connection(
+        conn, [&](chan::Envelope) { ++interpose_delivered; },
+        [&](chan::Envelope) { ++interpose_delivered; });
+    injector.arm(attack, doc.capabilities);
+    auto envelopes = [&](std::size_t passes) {
+      std::vector<chan::Envelope> out;
+      out.reserve(passes * kMessages);
+      for (std::size_t pass = 0; pass < passes; ++pass) {
+        for (const lang::InFlightMessage& msg : mix) out.push_back(msg.envelope);
+      }
+      return out;
+    };
+    for (chan::Envelope& e : envelopes(1)) {  // warm-up pass
+      injector.on_envelope(conn, mix.front().direction, std::move(e));
+    }
+    std::vector<chan::Envelope> timed = envelopes(kProcPasses);
+    interpose_delivered = 0;
+    const std::uint64_t slab_before = mem::thread_slab().stats().allocs;
+    const auto start = std::chrono::steady_clock::now();
+    for (chan::Envelope& e : timed) {
+      injector.on_envelope(conn, mix.front().direction, std::move(e));
+    }
+    const double elapsed = seconds_since(start);
+    interpose_slab_allocations = mem::thread_slab().stats().allocs - slab_before;
+    return elapsed;
+  }();
+
   const std::size_t proc_messages = kProcPasses * kMessages;
+  if (interpose_delivered != proc_messages) {  // every harness rule passes
+    std::fprintf(stderr, "interpose leg delivered %llu of %zu messages\n",
+                 static_cast<unsigned long long>(interpose_delivered), proc_messages);
+    return 1;
+  }
   const double guard_skip_rate =
       static_cast<double>(guard_skips) / static_cast<double>(kMessages * rules.size());
 
@@ -398,6 +446,10 @@ int run_harness(const std::string& json_path) {
                        proc_compiled_s * 1e9 / static_cast<double>(proc_messages));
   metrics.emplace_back("process_per_message_ns_tree",
                        proc_tree_s * 1e9 / static_cast<double>(proc_messages));
+  metrics.emplace_back("interpose_per_message_ns",
+                       interpose_s * 1e9 / static_cast<double>(proc_messages));
+  metrics.emplace_back("interpose_slab_allocations",
+                       static_cast<double>(interpose_slab_allocations));
   metrics.emplace_back("rules_per_second_compiled",
                        static_cast<double>(rule_evals) / eval_compiled_s);
   metrics.emplace_back("speedup_eval", eval_tree_s / eval_compiled_s);
@@ -435,6 +487,9 @@ int run_harness(const std::string& json_path) {
   std::printf("  speedup: %.1fx eval, %.1fx full process(); guard skip rate %.1f%%\n",
               eval_tree_s / eval_compiled_s, proc_tree_s / proc_compiled_s,
               guard_skip_rate * 100.0);
+  std::printf("  interpose: %6.1f ns/message through on_envelope(), %llu slab allocations\n",
+              interpose_s * 1e9 / static_cast<double>(proc_messages),
+              static_cast<unsigned long long>(interpose_slab_allocations));
   return 0;
 }
 

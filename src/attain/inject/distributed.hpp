@@ -86,9 +86,9 @@ class DistributedInjector {
   };
 
   void on_envelope(ConnectionId id, chan::Direction direction, chan::Envelope&& envelope);
-  void execute_and_deliver(AttackExecutor& executor, const lang::InFlightMessage& msg,
+  void execute_and_deliver(AttackExecutor& executor, lang::InFlightMessage&& msg,
                            SimTime extra_delivery_delay);
-  void deliver(const OutMessage& out, SimTime extra_delay);
+  void deliver(OutMessage&& out, SimTime extra_delay);
 
   sim::Scheduler& sched_;
   const topo::SystemModel& system_;

@@ -1,5 +1,7 @@
 #include "attain/inject/executor.hpp"
 
+#include <span>
+
 namespace attain::inject {
 
 AttackExecutor::AttackExecutor(const dsl::CompiledAttack& attack,
@@ -34,46 +36,60 @@ const std::string& AttackExecutor::current_state_name() const {
   return attack_.states[current_].name;
 }
 
-bool AttackExecutor::try_guard_skip(ConnectionId conn, lang::Direction direction,
+ConnectionGuards AttackExecutor::guard_summaries(ConnectionId conn) const {
+  ConnectionGuards guards(attack_.states.size());
+  for (std::size_t s = 0; s < attack_.states.size(); ++s) {
+    const auto bucket = rule_buckets_[s].find(conn);
+    if (bucket == rule_buckets_[s].end()) continue;
+    for (unsigned d = 0; d < 2; ++d) {
+      GuardSummary& summary = guards[s][d];
+      summary.rules = static_cast<std::uint32_t>(bucket->second.size());
+      for (const std::uint32_t rule_index : bucket->second) {
+        const dsl::CompiledRule& compiled = attack_.states[s].rules[rule_index];
+        if (!compiled.has_programs) {
+          summary.admitted = ~0u;  // would tree-walk: admits every shape
+          continue;
+        }
+        // Shape-level Guard::admits(): direction bit, then undecodable_ok
+        // for payload-less frames, then the type bit.
+        const lang::Guard& guard = compiled.program.guard();
+        if ((guard.direction_mask & (1u << d)) == 0) continue;
+        summary.admitted |= guard.type_mask & lang::Guard::kAllTypes;
+        if (guard.undecodable_ok) summary.admitted |= 1u << GuardSummary::kNoPayloadBit;
+      }
+    }
+  }
+  return guards;
+}
+
+bool AttackExecutor::try_guard_skip(const ConnectionGuards& guards, lang::Direction direction,
                                     std::optional<ofp::MsgType> type) {
   if (!use_compiled_) return false;  // oracle mode evaluates every rule
-  const auto& buckets = rule_buckets_[current_];
-  const auto bucket = buckets.find(conn);
-  if (bucket != buckets.end()) {
-    const dsl::CompiledState& state = attack_.states[current_];
-    for (const std::uint32_t rule_index : bucket->second) {
-      const dsl::CompiledRule& compiled = state.rules[rule_index];
-      if (!compiled.has_programs) return false;  // would tree-walk: not skippable
-      const lang::Guard& guard = compiled.program.guard();
-      // Shape-level Guard::admits(): direction bit, then undecodable_ok for
-      // payload-less frames, then the type bit. Any admitted rule would run.
-      if ((guard.direction_mask & (1u << static_cast<unsigned>(direction))) == 0) continue;
-      if (!type.has_value()) {
-        if (guard.undecodable_ok) return false;
-        continue;
-      }
-      if ((guard.type_mask >> static_cast<unsigned>(*type)) & 1u) return false;
-    }
-    stats_.rules_skipped_by_guard += bucket->second.size();
-  }
+  const GuardSummary& summary = guards[current_][static_cast<unsigned>(direction)];
+  if (summary.admits(type)) return false;
+  stats_.rules_skipped_by_guard += summary.rules;
   ++stats_.messages_processed;
   return true;
 }
 
-ExecutionResult AttackExecutor::process(const lang::InFlightMessage& msg) {
+ExecutionResult AttackExecutor::process(lang::InFlightMessage msg) {
   ++stats_.messages_processed;
   ExecutionResult result;
-  // line 5: msg_out ← [msg_in]
-  result.outgoing.push_back(OutMessage{msg, 0});
+  // line 5: msg_out ← [msg_in], implicit until an action needs the list
+  // itself. Until then result.outgoing is empty and msg_out is msg_in
+  // (when `kept`) with `delay` accumulated.
+  bool materialized = false;
+  bool kept = true;
+  SimTime delay = 0;
   // line 6: σ_previous ← σ_current (rules of the state at arrival apply,
   // even if an earlier rule in the same state transitions away).
   const std::size_t previous = current_;
   const dsl::CompiledState& state = attack_.states[previous];
 
   const auto bucket = rule_buckets_[previous].find(msg.connection);
-  if (bucket == rule_buckets_[previous].end()) return result;  // no rule bound to n
-
-  for (const std::uint32_t rule_index : bucket->second) {
+  std::span<const std::uint32_t> rule_indices;  // stays empty: no rule bound to n
+  if (bucket != rule_buckets_[previous].end()) rule_indices = bucket->second;
+  for (const std::uint32_t rule_index : rule_indices) {
     const dsl::CompiledRule& compiled = state.rules[rule_index];
     const lang::Rule& rule = compiled.rule;
     const bool run_program = use_compiled_ && compiled.has_programs;
@@ -220,9 +236,22 @@ ExecutionResult AttackExecutor::process(const lang::InFlightMessage& msg) {
                   !compiled.action_programs[action_index].empty()
               ? &compiled.action_programs[action_index]
               : nullptr;
+      if (!materialized) {
+        // Actions on the implicit msg_out. apply_action() still runs on
+        // the empty list, so the monitor records exactly what it would.
+        if (std::holds_alternative<lang::ActDrop>(action)) {
+          kept = false;
+        } else if (const auto* delayed = std::get_if<lang::ActDelay>(&action)) {
+          if (kept) delay += delayed->delay;
+        } else if (!std::holds_alternative<lang::ActPass>(action)) {
+          if (kept) result.outgoing.push_back(OutMessage{msg, delay});
+          materialized = true;
+        }
+      }
       apply_action(action, result.outgoing, mod_ctx_);  // line 14
     }
   }
+  if (!materialized && kept) result.outgoing.push_back(OutMessage{std::move(msg), delay});
   return result;
 }
 

@@ -9,8 +9,21 @@
 // lang::Programs on a reusable evaluator — no allocation, no exceptions on
 // the non-matching path. set_use_compiled(false) switches back to the
 // tree-walk oracle (tests and benches compare both).
+//
+// process() takes msg_in by value and keeps Algorithm 1's line 5
+// (msg_out ← [msg_in]) implicit: while only drop, pass and delay have run,
+// msg_out is "msg_in, kept or not, plus a delay", and a kept message is
+// moved into outgoing[0] at the end — a suppressed message is never
+// copied. Any other message action first materializes msg_out with a copy
+// of msg_in, because later rules must still read the unmodified msg_in.
+//
+// guard_summaries() folds one connection's bucket into one bitmask per
+// (state, direction); the proxy resolves them when it arms or attaches,
+// and try_guard_skip() then decides the counter-only branch with one bit
+// test instead of walking the bucket per frame.
 #pragma once
 
+#include <array>
 #include <map>
 #include <optional>
 #include <string>
@@ -53,6 +66,27 @@ struct ExecutorStats {
   std::uint64_t programs_executed{0};
 };
 
+/// What one connection's rule bucket admits in one state and direction.
+/// Bit t of `admitted` is set when some rule's guard admits MsgType t,
+/// bit kNoPayloadBit when some rule admits payload-less (sealed or
+/// undecodable) frames; a rule without a compiled program sets every bit,
+/// since it would tree-walk. `rules` is the bucket's size: what a skip adds
+/// to ExecutorStats::rules_skipped_by_guard.
+struct GuardSummary {
+  static constexpr unsigned kNoPayloadBit = static_cast<unsigned>(ofp::kMsgTypeCount);
+
+  std::uint32_t admitted{0};
+  std::uint32_t rules{0};
+
+  bool admits(std::optional<ofp::MsgType> type) const {
+    const unsigned bit = type ? static_cast<unsigned>(*type) : kNoPayloadBit;
+    return (admitted >> bit) & 1u;
+  }
+};
+
+/// One connection's guard summaries, indexed [state][direction].
+using ConnectionGuards = mem::vector<std::array<GuardSummary, 2>>;
+
 class AttackExecutor {
  public:
   /// The executor holds references to the compiled attack and capability
@@ -64,19 +98,26 @@ class AttackExecutor {
   void reset();
 
   /// Processes one incoming message (Algorithm 1 lines 4–21, minus the
-  /// actual sends, which the proxy performs with the returned list).
-  ExecutionResult process(const lang::InFlightMessage& msg);
+  /// actual sends, which the proxy performs with the returned list). Takes
+  /// msg_in by value: callers that are done with it move it in, and a
+  /// passed message travels on in outgoing[0] without a copy.
+  ExecutionResult process(lang::InFlightMessage msg);
 
-  /// Counter-only process() for a message no rule can see: when every rule
-  /// in the current state's bucket for `conn` carries a compiled program
-  /// whose guard rejects the (direction, type, decodability) shape — or the
-  /// bucket is empty — process() would return outgoing == [msg] with no
-  /// state, storage or monitor change. In that case this counts one
-  /// processed message and every bucket rule as guard-skipped, exactly as
-  /// process() would, and returns true; otherwise it changes nothing and
-  /// returns false. `type` is absent for sealed/undecodable frames,
-  /// mirroring InFlightMessage::payload() == nullptr in Guard::admits().
-  bool try_guard_skip(ConnectionId conn, lang::Direction direction,
+  /// The guard summaries of `conn`'s bucket in every state. They depend
+  /// only on the compiled attack, so one build per (executor, connection)
+  /// stays valid for the executor's lifetime.
+  ConnectionGuards guard_summaries(ConnectionId conn) const;
+
+  /// Counter-only process() for a message no rule can see: when the
+  /// current state's summary in `guards` (guard_summaries() of the frame's
+  /// connection) admits no rule for the (direction, type, decodability)
+  /// shape, process() would return outgoing == [msg] with no state,
+  /// storage or monitor change. In that case this counts one processed
+  /// message and every bucket rule as guard-skipped, exactly as process()
+  /// would, and returns true; otherwise it changes nothing and returns
+  /// false. `type` is absent for sealed/undecodable frames, mirroring
+  /// InFlightMessage::payload() == nullptr in Guard::admits().
+  bool try_guard_skip(const ConnectionGuards& guards, lang::Direction direction,
                       std::optional<ofp::MsgType> type);
 
   /// Oracle mode: evaluate conditionals with the tree-walk instead of the

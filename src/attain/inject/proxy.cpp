@@ -19,7 +19,16 @@ void RuntimeInjector::attach_connection(ConnectionId id, chan::EnvelopeSink to_c
   for (const topo::ControlConnSpec& spec : system_.control_connections()) {
     if (spec.id == id) tls = spec.tls;
   }
-  endpoints_[id] = Endpoint{std::move(to_controller), std::move(to_switch), tls, nullptr};
+  Endpoint& endpoint = endpoints_[id];
+  endpoint = Endpoint{};
+  endpoint.to_controller = std::move(to_controller);
+  endpoint.to_switch = std::move(to_switch);
+  endpoint.tls = tls;
+  for (const chan::Direction direction :
+       {chan::Direction::SwitchToController, chan::Direction::ControllerToSwitch}) {
+    endpoint.observed[static_cast<unsigned>(direction)] = &monitor_.observed_cell(id, direction);
+  }
+  if (executor_) endpoint.guards = executor_->guard_summaries(id);
 
   monitor::Event event;
   event.kind = monitor::EventKind::ConnectionAttached;
@@ -40,8 +49,7 @@ void RuntimeInjector::attach_channel(chan::Channel& channel, ConnectionId id) {
       [ch = &channel](chan::Envelope&& e) {
         ch->forward(chan::Direction::ControllerToSwitch, std::move(e));
       });
-  // Map nodes are stable and endpoints are never erased, so the sink can
-  // hold its endpoint instead of looking it up per frame.
+  // The sink holds its endpoint instead of looking it up per frame.
   Endpoint& endpoint = endpoints_[id];
   endpoint.channel = &channel;
   channel.set_proxy_sink(
@@ -66,11 +74,15 @@ void RuntimeInjector::arm(const dsl::CompiledAttack& attack,
                           const model::CapabilityMap& capabilities) {
   executor_ = std::make_unique<AttackExecutor>(attack, capabilities, monitor_, rng_);
   executor_->set_use_compiled(use_compiled_);
+  for (auto& [id, endpoint] : endpoints_) endpoint.guards = executor_->guard_summaries(id);
   ATTAIN_LOG(Info, "injector") << "armed attack '" << attack.name << "' at state "
                                << executor_->current_state_name();
 }
 
-void RuntimeInjector::disarm() { executor_.reset(); }
+void RuntimeInjector::disarm() {
+  executor_.reset();
+  for (auto& entry : endpoints_) entry.second.guards = {};
+}
 
 void RuntimeInjector::set_syscmd_handler(
     std::function<void(const std::string&, const std::string&)> handler) {
@@ -121,7 +133,7 @@ void RuntimeInjector::interpose(ConnectionId id, const Endpoint& endpoint,
 
   const bool counters_only = monitor_.counters_only();
   if (counters_only) {
-    monitor_.tally_observed(type, id, direction);
+    monitor_.tally_observed(type, *endpoint.observed[static_cast<unsigned>(direction)]);
   } else {
     monitor::Event event;
     event.kind = monitor::EventKind::MessageObserved;
@@ -138,7 +150,7 @@ void RuntimeInjector::interpose(ConnectionId id, const Endpoint& endpoint,
   // rule's guard admits the frame, so the executor path below would deliver
   // it unchanged. Tally what that path would have tallied and deliver.
   if (counters_only && sched_.now() >= paused_until_ &&
-      (!executor_ || executor_->try_guard_skip(id, direction, type))) {
+      (!executor_ || executor_->try_guard_skip(endpoint.guards, direction, type))) {
     ++next_message_id_;  // the id this frame would have been assigned
     ++stats_.messages_delivered;
     monitor_.tally(monitor::EventKind::MessageForwarded);
@@ -151,19 +163,22 @@ void RuntimeInjector::interpose(ConnectionId id, const Endpoint& endpoint,
     // A SLEEP() is in effect: queue behind it, order preserved by the
     // scheduler's FIFO tie-breaking.
     auto shared = std::make_shared<lang::InFlightMessage>(std::move(msg));
-    sched_.at(paused_until_, [this, shared] { process_now(*shared); });
+    sched_.at(paused_until_, [this, ep = &endpoint, shared] {
+      process_now(*ep, std::move(*shared));
+    });
     return;
   }
-  process_now(msg);
+  process_now(endpoint, std::move(msg));
 }
 
-void RuntimeInjector::process_now(const lang::InFlightMessage& msg) {
+void RuntimeInjector::process_now(const Endpoint& endpoint, lang::InFlightMessage&& msg) {
   if (!executor_) {
     // Disarmed: pure proxy.
-    deliver(OutMessage{msg, 0});
+    deliver(OutMessage{std::move(msg), 0});
     return;
   }
-  ExecutionResult result = executor_->process(msg);
+  const chan::Direction direction = msg.direction;
+  ExecutionResult result = executor_->process(std::move(msg));
   if (result.sleep > 0) {
     paused_until_ = std::max(paused_until_, sched_.now() + result.sleep);
   }
@@ -173,19 +188,16 @@ void RuntimeInjector::process_now(const lang::InFlightMessage& msg) {
   }
   const std::uint64_t before = stats_.messages_delivered;
   for (OutMessage& out : result.outgoing) {
-    deliver(out);
+    deliver(std::move(out));
   }
   if (stats_.messages_delivered == before) {
     ++stats_.messages_suppressed;
-    const auto endpoint = endpoints_.find(msg.connection);
-    if (endpoint != endpoints_.end() && endpoint->second.channel != nullptr) {
-      endpoint->second.channel->note_suppressed(msg.direction);
-    }
+    if (endpoint.channel != nullptr) endpoint.channel->note_suppressed(direction);
   }
 }
 
-void RuntimeInjector::deliver(const OutMessage& out) {
-  const lang::InFlightMessage& msg = out.message;
+void RuntimeInjector::deliver(OutMessage&& out) {
+  lang::InFlightMessage& msg = out.message;
 
   // Resolve the carrying connection: a redirect may have retargeted the
   // message at a different switch/controller; find the matching attached
@@ -212,9 +224,8 @@ void RuntimeInjector::deliver(const OutMessage& out) {
     return;
   }
 
-  auto do_send = [this, conn, direction = msg.direction, envelope = msg.envelope]() mutable {
-    const auto ep = endpoints_.find(conn);
-    if (ep == endpoints_.end()) return;
+  auto do_send = [this, conn, ep = &endpoint->second, direction = msg.direction,
+                  envelope = std::move(msg.envelope)]() mutable {
     ++stats_.messages_delivered;
     if (monitor_.enabled(monitor::EventKind::MessageForwarded)) {
       monitor::Event event;
@@ -228,7 +239,7 @@ void RuntimeInjector::deliver(const OutMessage& out) {
     } else {
       monitor_.tally(monitor::EventKind::MessageForwarded);
     }
-    ep->second.send(direction, std::move(envelope));
+    ep->send(direction, std::move(envelope));
   };
 
   if (out.delay > 0) {

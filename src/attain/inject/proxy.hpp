@@ -14,8 +14,18 @@
 // either takes the counter-only branch (counters-only monitor, no SLEEP()
 // in effect, and no armed rule whose guard admits the frame) or runs the
 // frame through the Algorithm-1 executor.
+//
+// Per-connection state lives in one endpoint record, resolved when the
+// connection attaches and again whenever an attack is armed: the
+// endpoint's sinks, its channel, its two monitor counter cells, and (while
+// armed) the executor's guard summaries for its rule buckets. A frame
+// arriving through a channel's proxy sink therefore reaches its record
+// without a lookup, tallies through the cached cells and decides the
+// counter-only branch with one bit test; the message itself is moved, not
+// copied, into the executor and on to the send.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -88,6 +98,8 @@ class RuntimeInjector {
   const AttackExecutor* executor() const { return executor_.get(); }
 
  private:
+  /// One attached connection. Map nodes are stable and endpoints are
+  /// never erased, so sinks and scheduled callbacks may hold a reference.
   struct Endpoint {
     chan::EnvelopeSink to_controller;
     chan::EnvelopeSink to_switch;
@@ -95,6 +107,13 @@ class RuntimeInjector {
     /// Set by attach_channel(): suppression verdicts are mirrored into the
     /// channel's counters.
     chan::Channel* channel{nullptr};
+    /// The monitor's observed_cell() for each direction (indexed by
+    /// chan::Direction), resolved at attach.
+    std::array<std::uint64_t*, 2> observed{};
+    /// The armed executor's guard_summaries() for this connection: built
+    /// by arm() for every attached endpoint and by attach_connection()
+    /// while armed, dropped by disarm().
+    ConnectionGuards guards;
 
     void send(chan::Direction direction, chan::Envelope&& envelope) const {
       const chan::EnvelopeSink& sink =
@@ -108,8 +127,9 @@ class RuntimeInjector {
   /// rvalue reference: each by-value hop would move all of its ~280 bytes.
   void interpose(ConnectionId id, const Endpoint& endpoint, chan::Direction direction,
                  chan::Envelope&& envelope);
-  void process_now(const lang::InFlightMessage& msg);
-  void deliver(const OutMessage& out);
+  /// Runs the executor on a message that arrived through `endpoint`.
+  void process_now(const Endpoint& endpoint, lang::InFlightMessage&& msg);
+  void deliver(OutMessage&& out);
   lang::InFlightMessage make_in_flight(ConnectionId id, chan::Direction direction,
                                        chan::Envelope&& envelope, bool tls);
 

@@ -28,9 +28,9 @@ std::string to_string(EventKind kind) {
 }
 
 void Monitor::record(Event event) {
-  ++kind_counts_[event.kind];
+  ++kind_counts_[index(event.kind)];
   if (event.kind == EventKind::MessageObserved) {
-    if (event.message_type) ++type_counts_[*event.message_type];
+    if (event.message_type) ++type_counts_[index(*event.message_type)];
     ++conn_counts_[{event.connection, event.direction}];
   }
   if (!counters_only_) events_.push_back(std::move(event));
@@ -38,19 +38,15 @@ void Monitor::record(Event event) {
 
 void Monitor::clear() {
   events_.clear();
-  kind_counts_.clear();
-  type_counts_.clear();
-  conn_counts_.clear();
+  kind_counts_.fill(0);
+  type_counts_.fill(0);
+  for (auto& entry : conn_counts_) entry.second = 0;
 }
 
-std::uint64_t Monitor::count(EventKind kind) const {
-  const auto it = kind_counts_.find(kind);
-  return it == kind_counts_.end() ? 0 : it->second;
-}
+std::uint64_t Monitor::count(EventKind kind) const { return kind_counts_[index(kind)]; }
 
 std::uint64_t Monitor::observed_of_type(ofp::MsgType type) const {
-  const auto it = type_counts_.find(type);
-  return it == type_counts_.end() ? 0 : it->second;
+  return type_counts_[index(type)];
 }
 
 std::uint64_t Monitor::observed_on(ConnectionId connection, lang::Direction direction) const {

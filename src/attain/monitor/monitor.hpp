@@ -4,8 +4,16 @@
 // its counters) after a run; the experiment harness builds the paper's
 // metrics from it. The monitor is test infrastructure and is not subject
 // to the attacker capability model (which constrains only attack rules).
+//
+// Counter layout: the per-kind and per-type counters are plain arrays
+// indexed by the enum value, so tallying them is one increment. The
+// per-connection counters stay keyed by (connection, direction) and hand
+// out stable cells (observed_cell()): the injector resolves each attached
+// connection's two cells once and bumps them directly per frame. clear()
+// zeroes every counter in place, so cached cells stay valid across it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -36,6 +44,8 @@ enum class EventKind : std::uint8_t {
   EvalError,         // a conditional/action raised (treated as no-match)
   ConnectionAttached,
 };
+inline constexpr std::size_t kEventKindCount =
+    static_cast<std::size_t>(EventKind::ConnectionAttached) + 1;
 
 std::string to_string(EventKind kind);
 
@@ -62,6 +72,8 @@ class Monitor {
   using EventList = std::vector<Event, mem::SlabAllocator<Event>>;
 
   const EventList& events() const { return events_; }
+  /// Drops the event list and zeroes every counter. Cells handed out by
+  /// observed_cell() stay valid (and read zero).
   void clear();
 
   /// Number of events of a kind.
@@ -70,6 +82,14 @@ class Monitor {
   std::uint64_t observed_of_type(ofp::MsgType type) const;
   /// Observed messages on one connection, one direction.
   std::uint64_t observed_on(ConnectionId connection, lang::Direction direction) const;
+
+  /// The counter cell behind observed_on(connection, direction), created
+  /// at zero if absent. Its address is stable for the monitor's lifetime
+  /// (clear() zeroes it in place), so a caller can resolve it once and
+  /// bump it per frame instead of looking the pair up.
+  std::uint64_t& observed_cell(ConnectionId connection, lang::Direction direction) {
+    return conn_counts_[{connection, direction}];
+  }
 
   /// Events matching a predicate (convenience for tests/analysis).
   std::vector<Event> select(const std::function<bool(const Event&)>& predicate) const;
@@ -88,20 +108,20 @@ class Monitor {
 
   /// Counter-only fast path: counts the kind without storing an event.
   /// Pairs with enabled() so kind counts match the record() path exactly.
-  void tally(EventKind kind, std::uint64_t n = 1) { kind_counts_[kind] += n; }
+  void tally(EventKind kind, std::uint64_t n = 1) { kind_counts_[index(kind)] += n; }
 
   bool counters_only() const { return counters_only_; }
 
   /// Counter-only mirror of a MessageObserved record(): bumps the kind,
   /// type, and per-connection counters exactly as record() would, without
-  /// building the string-heavy Event. The channel's fast path calls this
-  /// once per frame; only valid while counters_only() is true (otherwise
-  /// the event list would diverge from the record() path).
-  void tally_observed(std::optional<ofp::MsgType> type, ConnectionId connection,
-                      lang::Direction direction) {
-    ++kind_counts_[EventKind::MessageObserved];
-    if (type) ++type_counts_[*type];
-    ++conn_counts_[{connection, direction}];
+  /// building the string-heavy Event. `connection_cell` is the frame's
+  /// observed_cell(). The injector's fast path calls this once per frame;
+  /// only valid while counters_only() is true (otherwise the event list
+  /// would diverge from the record() path).
+  void tally_observed(std::optional<ofp::MsgType> type, std::uint64_t& connection_cell) {
+    ++kind_counts_[index(EventKind::MessageObserved)];
+    if (type) ++type_counts_[index(*type)];
+    ++connection_cell;
   }
 
   /// Renders the log as text, one event per line.
@@ -112,9 +132,14 @@ class Monitor {
   std::string to_csv() const;
 
  private:
+  template <typename Enum>
+  static constexpr std::size_t index(Enum value) {
+    return static_cast<std::size_t>(value);
+  }
+
   EventList events_;
-  mem::map<EventKind, std::uint64_t> kind_counts_;
-  mem::map<ofp::MsgType, std::uint64_t> type_counts_;
+  std::array<std::uint64_t, kEventKindCount> kind_counts_{};
+  std::array<std::uint64_t, ofp::kMsgTypeCount> type_counts_{};
   mem::map<std::pair<ConnectionId, lang::Direction>, std::uint64_t> conn_counts_;
   bool counters_only_{false};
 };

@@ -1,7 +1,6 @@
 #include "ctl/floodlight.hpp"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/log.hpp"
 
@@ -46,6 +45,7 @@ void FloodlightForwarding::on_packet_in(ConnHandle conn, const ofp::PacketIn& pi
       const PortRef origin{origin_dpid, origin_port};
       if (!links_.contains(origin) || links_.at(origin) != here) {
         links_[origin] = here;
+        links_changed();
         ATTAIN_LOG(Debug, name()) << "discovered link dpid" << origin_dpid << ":" << origin_port
                                   << " -> dpid" << dpid << ":" << pin.in_port;
       }
@@ -79,7 +79,7 @@ void FloodlightForwarding::on_packet_in(ConnHandle conn, const ofp::PacketIn& pi
   // Floodlight's route push) toward the destination attachment point.
   const auto src_it = device_table_.find(packet.eth.src.to_u64());
   const PortRef src_ap = src_it != device_table_.end() ? src_it->second : here;
-  const std::vector<PathHop> hops = route(src_ap, dst_it->second);
+  const mem::vector<PathHop>& hops = route(src_ap, dst_it->second);
   if (hops.empty()) {
     flood_here();
     return;
@@ -127,27 +127,31 @@ void FloodlightForwarding::on_port_status(ConnHandle conn, const ofp::PortStatus
   const PortRef here{dpid_of(conn), status.desc.port_no};
   links_.erase(here);
   std::erase_if(links_, [&](const auto& entry) { return entry.second == here; });
+  links_changed();
   std::erase_if(device_table_, [&](const auto& entry) { return entry.second == here; });
   ATTAIN_LOG(Debug, name()) << "port down: dpid" << here.dpid << ":" << here.port
                             << "; purged topology state";
 }
 
-std::vector<FloodlightForwarding::PathHop> FloodlightForwarding::route(PortRef from,
-                                                                       PortRef to) const {
+const mem::vector<FloodlightForwarding::PathHop>& FloodlightForwarding::route(PortRef from,
+                                                                            PortRef to) {
+  const auto [memo, inserted] = route_memo_.try_emplace({from, to});
+  mem::vector<PathHop>& path = memo->second;
+  if (!inserted) return path;
   if (from.dpid == to.dpid) {
-    return {PathHop{from.dpid, from.port, to.port}};
+    path.push_back(PathHop{from.dpid, from.port, to.port});
+    return path;
   }
   struct Visit {
     std::uint64_t prev_dpid;
     std::uint16_t prev_out_port;
     std::uint16_t in_port;
   };
-  std::map<std::uint64_t, Visit> visited;
+  mem::map<std::uint64_t, Visit> visited;
   visited[from.dpid] = Visit{from.dpid, 0, from.port};
-  std::deque<std::uint64_t> frontier{from.dpid};
-  while (!frontier.empty()) {
-    const std::uint64_t dpid = frontier.front();
-    frontier.pop_front();
+  mem::vector<std::uint64_t> frontier{from.dpid};
+  for (std::size_t next = 0; next < frontier.size(); ++next) {
+    const std::uint64_t dpid = frontier[next];
     if (dpid == to.dpid) break;
     for (const auto& [a, b] : links_) {
       if (a.dpid != dpid || visited.contains(b.dpid)) continue;
@@ -155,9 +159,8 @@ std::vector<FloodlightForwarding::PathHop> FloodlightForwarding::route(PortRef f
       frontier.push_back(b.dpid);
     }
   }
-  if (!visited.contains(to.dpid)) return {};
+  if (!visited.contains(to.dpid)) return path;
 
-  std::vector<PathHop> path;
   std::uint64_t dpid = to.dpid;
   std::uint16_t out_port = to.port;
   while (true) {

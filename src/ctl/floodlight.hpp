@@ -65,11 +65,18 @@ class FloodlightForwarding : public Controller {
   void send_lldp_probes(ConnHandle conn);
   bool is_internal_port(PortRef ref) const { return links_.contains(ref); }
   /// BFS over discovered links from `from` (entering on from.port) to the
-  /// switch of `to`, leaving on to.port. Empty if not connected.
-  std::vector<PathHop> route(PortRef from, PortRef to) const;
+  /// switch of `to`, leaving on to.port. Empty if not connected. Results
+  /// are memoized per (from, to); the reference stays valid until links_
+  /// next changes.
+  const mem::vector<PathHop>& route(PortRef from, PortRef to);
+  /// Every write to links_ goes through here, so no memoized route
+  /// outlives the topology it was computed on.
+  void links_changed() { route_memo_.clear(); }
 
   mem::map<std::uint64_t, ConnHandle> conn_by_dpid_;
   mem::map<PortRef, PortRef> links_;               // discovered topology
+  /// route() results keyed by (source, destination) attachment point.
+  mem::map<std::pair<PortRef, PortRef>, mem::vector<PathHop>> route_memo_;
   mem::map<std::uint64_t, PortRef> device_table_;  // MAC -> attachment point
   std::uint64_t lldp_probes_sent_{0};
 };

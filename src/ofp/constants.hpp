@@ -34,6 +34,7 @@ enum class MsgType : std::uint8_t {
   BarrierRequest = 18,
   BarrierReply = 19,
 };
+inline constexpr std::size_t kMsgTypeCount = static_cast<std::size_t>(MsgType::BarrierReply) + 1;
 
 std::string to_string(MsgType type);
 

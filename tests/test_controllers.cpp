@@ -373,6 +373,90 @@ TEST(Floodlight, MidRoutePacketInReleasedAtThatSwitch) {
   EXPECT_EQ(std::get<ofp::ActionOutput>(po->as<ofp::PacketOut>().actions.at(0)).port, 4);
 }
 
+// Routes are memoized per (source, destination) attachment point; a
+// link-down PORT_STATUS must invalidate them. Triangle s1-s2-s3 with host
+// A on s1:1 and host B on s3:3: A -> B goes s1 -> s3 directly until s1:3
+// fails, then around through s2, and floods once s1:2 fails as well.
+TEST(Floodlight, PortDownReroutesInsteadOfReusingMemoizedRoute) {
+  sim::Scheduler sched;
+  FloodlightForwarding fl(sched, 0);
+  FakeSwitch s1;
+  FakeSwitch s2;
+  FakeSwitch s3;
+  s1.attach(fl, 1);
+  s2.attach(fl, 2);
+  s3.attach(fl, 3);
+  auto lldp = [&](std::uint64_t from_dpid, std::uint16_t from_port, FakeSwitch& to,
+                  std::uint16_t to_port) {
+    to.packet_in(fl,
+                 pkt::make_lldp(pkt::MacAddress::from_u64((from_dpid << 8) | from_port),
+                                from_dpid, from_port),
+                 to_port, ofp::kNoBuffer);
+  };
+  lldp(1, 2, s2, 1);
+  lldp(2, 1, s1, 2);
+  lldp(1, 3, s3, 1);
+  lldp(3, 1, s1, 3);
+  lldp(2, 2, s3, 2);
+  lldp(3, 2, s2, 2);
+  ASSERT_EQ(fl.links().size(), 6u);
+
+  s3.packet_in(fl, icmp(0xb, 0xa), 3, 70);  // B's attachment point
+  for (FakeSwitch* sw : {&s1, &s2, &s3}) sw->take();
+
+  auto out_port = [](const ofp::Message& m) -> std::uint16_t {
+    const ofp::ActionList& actions = m.type() == ofp::MsgType::FlowMod
+                                         ? m.as<ofp::FlowMod>().actions
+                                         : m.as<ofp::PacketOut>().actions;
+    return std::get<ofp::ActionOutput>(actions.at(0)).port;
+  };
+
+  // Direct route: s1 out 3, s3 in 1 out 3.
+  s1.packet_in(fl, icmp(0xa, 0xb), 1, 71);
+  std::vector<ofp::Message> at_s1 = s1.take();
+  ASSERT_EQ(at_s1.size(), 2u);
+  EXPECT_EQ(at_s1[0].type(), ofp::MsgType::FlowMod);
+  EXPECT_EQ(out_port(at_s1[0]), 3);
+  EXPECT_EQ(out_port(at_s1[1]), 3);
+  EXPECT_TRUE(s2.take().empty());
+  std::vector<ofp::Message> at_s3 = s3.take();
+  ASSERT_EQ(at_s3.size(), 1u);
+  EXPECT_EQ(at_s3[0].as<ofp::FlowMod>().match.in_port, 1);
+
+  ofp::PortStatus down;
+  down.reason = ofp::PortReason::Modify;
+  down.desc.state = 1;
+  down.desc.port_no = 3;
+  fl.on_bytes(s1.conn, ofp::encode(ofp::make_message(9, down)));
+
+  // Surviving path: s1 out 2, s2 in 1 out 2, s3 in 2 out 3.
+  s1.packet_in(fl, icmp(0xa, 0xb), 1, 72);
+  at_s1 = s1.take();
+  ASSERT_EQ(at_s1.size(), 2u);
+  EXPECT_EQ(at_s1[0].type(), ofp::MsgType::FlowMod);
+  EXPECT_EQ(out_port(at_s1[0]), 2);
+  EXPECT_EQ(out_port(at_s1[1]), 2);
+  const std::vector<ofp::Message> at_s2 = s2.take();
+  ASSERT_EQ(at_s2.size(), 1u);
+  EXPECT_EQ(at_s2[0].as<ofp::FlowMod>().match.in_port, 1);
+  EXPECT_EQ(out_port(at_s2[0]), 2);
+  at_s3 = s3.take();
+  ASSERT_EQ(at_s3.size(), 1u);
+  EXPECT_EQ(at_s3[0].as<ofp::FlowMod>().match.in_port, 2);
+  EXPECT_EQ(out_port(at_s3[0]), 3);
+
+  // No path left: flood at the PACKET_IN switch, install nothing.
+  down.desc.port_no = 2;
+  fl.on_bytes(s1.conn, ofp::encode(ofp::make_message(10, down)));
+  s1.packet_in(fl, icmp(0xa, 0xb), 1, 73);
+  at_s1 = s1.take();
+  ASSERT_EQ(at_s1.size(), 1u);
+  ASSERT_EQ(at_s1[0].type(), ofp::MsgType::PacketOut);
+  EXPECT_EQ(out_port(at_s1[0]), static_cast<std::uint16_t>(ofp::Port::Flood));
+  EXPECT_TRUE(s2.take().empty());
+  EXPECT_TRUE(s3.take().empty());
+}
+
 TEST(Floodlight, EchoRequestAnswered) {
   FloodlightHarness h;
   auto& sw = h.switches["s1"];

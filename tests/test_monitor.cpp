@@ -97,6 +97,34 @@ TEST(Monitor, ClearResetsEverything) {
   EXPECT_EQ(mon.observed_of_type(ofp::MsgType::FlowMod), 0u);
 }
 
+TEST(Monitor, ClearKeepsCachedCellsValid) {
+  Monitor mon;
+  mon.set_counters_only(true);
+  std::uint64_t& cell = mon.observed_cell(conn(0), lang::Direction::ControllerToSwitch);
+  mon.tally_observed(ofp::MsgType::FlowMod, cell);
+  mon.tally_observed(std::nullopt, cell);
+  EXPECT_EQ(mon.observed_on(conn(0), lang::Direction::ControllerToSwitch), 2u);
+  EXPECT_EQ(mon.observed_of_type(ofp::MsgType::FlowMod), 1u);
+  EXPECT_EQ(mon.count(EventKind::MessageObserved), 2u);
+
+  mon.clear();
+  EXPECT_EQ(cell, 0u);
+  EXPECT_EQ(mon.observed_on(conn(0), lang::Direction::ControllerToSwitch), 0u);
+  EXPECT_EQ(mon.observed_of_type(ofp::MsgType::FlowMod), 0u);
+  EXPECT_EQ(mon.count(EventKind::MessageObserved), 0u);
+  EXPECT_EQ(&mon.observed_cell(conn(0), lang::Direction::ControllerToSwitch), &cell);
+
+  // The cached cell still feeds observed_on(), and record() reaches it too.
+  mon.tally_observed(ofp::MsgType::PacketIn, cell);
+  mon.set_counters_only(false);
+  mon.record(observed(ofp::MsgType::PacketIn, conn(0), lang::Direction::ControllerToSwitch));
+  EXPECT_EQ(cell, 2u);
+  EXPECT_EQ(mon.observed_on(conn(0), lang::Direction::ControllerToSwitch), 2u);
+  EXPECT_EQ(mon.observed_on(conn(0), lang::Direction::SwitchToController), 0u);
+  EXPECT_EQ(mon.observed_of_type(ofp::MsgType::PacketIn), 2u);
+  EXPECT_EQ(mon.count(EventKind::MessageObserved), 2u);
+}
+
 TEST(Monitor, CsvExportEscapesAndEnumerates) {
   Monitor mon;
   Event e = observed(ofp::MsgType::FlowMod, conn(2), lang::Direction::ControllerToSwitch);
