@@ -10,6 +10,13 @@
 //           warmed-up phased trajectory (the zero-malloc claim, measured
 //           exactly as tests/test_memory_guard.cpp pins it).
 //
+// It then prints where each cell's memory goes: the arena bytes every slab
+// size class reserved while the cell ran cold on a fresh thread (so on a
+// fresh thread slab), with the peak number of scheduler event slots. The
+// table adds the end-to-end benchmark's flood shape (POX on a 2048-host
+// leaf-spine, 512 flows per edge switch) at its seed-1 attack starts, run
+// in order on one thread as the benchmark runs them.
+//
 // The binary links common/alloc_hook.cpp (see CMakeLists.txt), so the
 // counts are real global operator-new calls, binary-wide. `--json <path>`
 // writes a bench_json.hpp document; the committed baseline is
@@ -19,11 +26,15 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "bench_json.hpp"
 #include "common/alloc_hook.hpp"
 #include "common/arena.hpp"
+#include "common/log.hpp"
 #include "scenario/run.hpp"
+#include "sim/scheduler.hpp"
 #include "topo/generators.hpp"
 
 using namespace attain;
@@ -96,6 +107,80 @@ void print_cell(const char* name, const CellReport& r) {
               static_cast<unsigned long long>(r.window_allocs));
 }
 
+/// What a fresh thread slab reserved while running cells cold.
+struct Footprint {
+  std::size_t class_bytes[mem::SlabPool::kClassCount]{};
+  std::size_t reserved{0};       // the slab arena's reserved bytes
+  std::uint32_t slots_peak{0};   // largest scheduler slot count
+};
+
+/// Runs `cells` cold, in order, on a new thread and reports that thread's
+/// slab reservation per size class.
+Footprint measure_footprint(const std::vector<RunSpec>& cells) {
+  Footprint f;
+  std::thread([&] {
+    sim::Scheduler::reset_thread_slots_peak();
+    for (const RunSpec& cell : cells) run(cell);
+    const mem::SlabPool& slab = mem::thread_slab();
+    for (std::size_t c = 0; c < mem::SlabPool::kClassCount; ++c) {
+      f.class_bytes[c] = slab.stats().class_refill_bytes[c];
+    }
+    f.reserved = slab.arena_stats().bytes_reserved;
+    f.slots_peak = sim::Scheduler::thread_slots_peak();
+  }).join();
+  return f;
+}
+
+std::string class_label(std::size_t c) {
+  const std::size_t bytes = mem::SlabPool::kMinClass << c;
+  if (bytes >= 1024 * 1024) return std::to_string(bytes / (1024 * 1024)) + " MiB";
+  if (bytes >= 1024) return std::to_string(bytes / 1024) + " KiB";
+  return std::to_string(bytes) + " B";
+}
+
+void print_footprints(const std::vector<std::pair<const char*, Footprint>>& columns) {
+  std::printf("\nslab reservation by size class (MiB, each column cold on a fresh thread):\n");
+  std::printf("  %-10s", "class");
+  for (const auto& [name, f] : columns) std::printf("  %26s", name);
+  std::printf("\n");
+  const auto mib = [](std::size_t bytes) { return static_cast<double>(bytes) / (1024.0 * 1024.0); };
+  for (std::size_t c = 0; c < mem::SlabPool::kClassCount; ++c) {
+    bool any = false;
+    for (const auto& column : columns) any = any || column.second.class_bytes[c] != 0;
+    if (!any) continue;
+    std::printf("  %-10s", class_label(c).c_str());
+    for (const auto& column : columns) std::printf("  %26.2f", mib(column.second.class_bytes[c]));
+    std::printf("\n");
+  }
+  std::printf("  %-10s", "reserved");
+  for (const auto& column : columns) std::printf("  %26.2f", mib(column.second.reserved));
+  std::printf("\n  %-10s", "slots peak");
+  for (const auto& column : columns) std::printf("  %26u", column.second.slots_peak);
+  std::printf("\n");
+}
+
+/// The end-to-end benchmark's flood workload (e2e_bench/src/workloads.*)
+/// at its seed-1 attack starts.
+std::vector<RunSpec> e2e_flood_seed1_attack_cells() {
+  Options options;
+  options.fail_secure = false;
+  options.use_compiled = true;
+  return GridBuilder()
+      .experiment(ExperimentKind::Volumetric)
+      .volumetric(VolumetricKind::PacketInFlood)
+      .controllers({ControllerKind::Pox})
+      .topology(topo::TopologySpec::leaf_spine(1, 64, 32))
+      .attack_modes({true})
+      .fail_modes({false})
+      .attack_starts({3520 * kMillisecond, 3780 * kMillisecond, 3972 * kMillisecond,
+                      4421 * kMillisecond, 4927 * kMillisecond, 5288 * kMillisecond,
+                      5587 * kMillisecond})
+      .flood(512, 10 * kSecond, 100 * kMillisecond)
+      .table_capacity(0)
+      .options(options)
+      .build();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -139,6 +224,20 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(slabs.oversize_allocs),
               static_cast<unsigned long long>(slabs.oversize_hits));
 
+  // After the figures above, which read every slab: these threads' slabs
+  // would otherwise join the sums.
+  const Footprint supp_footprint = measure_footprint({suppression});
+  const Footprint flood_footprint = measure_footprint({flood});
+  // Their flooded switches log expected fail-safe warnings.
+  const LogLevel log_level = Logger::instance().level();
+  Logger::instance().set_level(LogLevel::Error);
+  const Footprint e2e_footprint = measure_footprint(e2e_flood_seed1_attack_cells());
+  Logger::instance().set_level(log_level);
+  print_footprints({{"enterprise suppression", supp_footprint},
+                    {"fat-tree(4) flood", flood_footprint},
+                    {"e2e flood seed-1 attacks", e2e_footprint}});
+  const auto k32KiB = static_cast<std::size_t>(mem::SlabPool::class_index(32 * 1024));
+
   if (const std::string path = bench::json_out_path(argc, argv); !path.empty()) {
     const bench::Metrics metrics = {
         {"suppression_cold_seconds", supp.cold_seconds},
@@ -155,6 +254,11 @@ int main(int argc, char** argv) {
         {"slab_arena_high_water_bytes", static_cast<double>(slab_arena.high_water)},
         {"slab_freelist_hits", static_cast<double>(slabs.freelist_hits)},
         {"slab_oversize_allocs", static_cast<double>(slabs.oversize_allocs)},
+        // Record-only: the seed-1 e2e flood attack cells' slab footprint.
+        {"e2e_flood_slab_reserved_bytes", static_cast<double>(e2e_footprint.reserved)},
+        {"e2e_flood_slab_32k_class_bytes",
+         static_cast<double>(e2e_footprint.class_bytes[k32KiB])},
+        {"e2e_flood_scheduler_slots_peak", static_cast<double>(e2e_footprint.slots_peak)},
     };
     if (!bench::write_bench_json(path, "memory", "suppression+flood_steady_state",
                                  supp.results_json, metrics)) {

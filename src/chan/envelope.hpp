@@ -25,6 +25,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "common/bytes.hpp"
 #include "ofp/codec.hpp"
@@ -42,10 +43,17 @@ class Envelope {
   Envelope() = default;
   /// Raw-wire ingress (e.g. from a socket or a fuzzed frame); the decoded
   /// view materializes on the first message() call.
-  Envelope(Bytes wire) : wire_(std::move(wire)) {}
+  Envelope(Bytes wire);
   /// Typed origin (an endpoint composing a message); the wire bytes
   /// materialize on the first wire() call.
   Envelope(ofp::Message message) : message_(std::move(message)) {}
+
+  /// Copies deep-copy the wire block; moves steal it.
+  Envelope(const Envelope& other);
+  Envelope(Envelope&& other) noexcept;
+  Envelope& operator=(const Envelope& other);
+  Envelope& operator=(Envelope&& other) noexcept;
+  ~Envelope() { release_wire(); }
 
   static Envelope from_wire(Bytes wire) { return Envelope(std::move(wire)); }
   static Envelope from_message(ofp::Message message) { return Envelope(std::move(message)); }
@@ -81,26 +89,37 @@ class Envelope {
   /// would not invoke the codec). Sealing does not clear this.
   bool has_message() const { return message_.has_value() && !message_stale_; }
   /// True when the wire bytes are cached and current.
-  bool has_wire() const { return wire_.has_value() && !wire_stale_; }
+  bool has_wire() const { return wire_ != nullptr && !wire_stale_; }
   /// True when the current wire bytes were tried and failed to decode.
   /// Reset when the wire changes.
   bool decode_failed() const { return decode_attempted_ && !message_.has_value(); }
   /// The DecodeError text of the last failed decode attempt.
-  const std::string& decode_error() const { return decode_error_; }
+  const std::string& decode_error() const;
 
  private:
+  /// The cold fields, out of line: the wire bytes and the text of a failed
+  /// decode (which only wire bytes can produce). Allocated from the thread
+  /// slab the first time wire bytes exist — a raw-wire origin, an encode,
+  /// a fuzz edit — so a typed envelope never carries one.
+  struct WireBlock {
+    Bytes bytes;
+    std::string decode_error;
+  };
+
   void ensure_message() const;
   void ensure_wire() const;
+  /// Stores `bytes` as the wire, allocating the block if there is none.
+  void store_wire(Bytes bytes) const;
+  void release_wire() noexcept;
 
   // Lazy caches: logically const, mutated on first access. Envelopes live
   // on one scheduler thread (a cell is single-threaded by construction),
   // so no synchronization is needed.
   mutable std::optional<ofp::Message> message_;
-  mutable std::optional<Bytes> wire_;
+  mutable WireBlock* wire_{nullptr};   // null: no wire bytes yet
   mutable bool message_stale_{false};  // wire mutated since message_ was derived
   mutable bool wire_stale_{false};     // message mutated since wire_ was derived
   mutable bool decode_attempted_{false};
-  mutable std::string decode_error_;
   bool sealed_{false};
 };
 
@@ -109,13 +128,30 @@ class Envelope {
 /// envelope by rvalue reference and may move from it.
 using EnvelopeSink = std::function<void(Envelope&&)>;
 
+/// The failure half of ingress_decode(): bumps `decode_errors` and logs a
+/// Debug line as "<who>", annotated with `context` when it is not empty.
+void report_decode_failure(const Envelope& envelope, const std::string& who,
+                           std::uint64_t& decode_errors, const std::string& context);
+
 /// Shared endpoint-ingress step (the switch and the controller used to
 /// carry copy-pasted decode-catch-log loops): unseals the envelope and
-/// returns the decoded view, or nullptr after bumping `decode_errors` and
-/// logging a Debug line as "<who>". `context` annotates the log line (e.g.
-/// "conn 3"). The switch's BadRequest error reply stays at its call site.
+/// returns the decoded view, or nullptr after report_decode_failure().
+/// `context` annotates the log line (e.g. "conn 3"). The switch's
+/// BadRequest error reply stays at its call site.
 const ofp::Message* ingress_decode(Envelope& envelope, const std::string& who,
                                    std::uint64_t& decode_errors,
                                    const std::string& context = {});
+
+/// ingress_decode() with the context built by `make_context()` only on a
+/// decode failure, so a per-message caller builds no string.
+template <typename MakeContext>
+  requires std::is_invocable_r_v<std::string, MakeContext&>
+const ofp::Message* ingress_decode(Envelope& envelope, const std::string& who,
+                                   std::uint64_t& decode_errors, MakeContext&& make_context) {
+  envelope.unseal();
+  const ofp::Message* message = envelope.message();
+  if (message == nullptr) report_decode_failure(envelope, who, decode_errors, make_context());
+  return message;
+}
 
 }  // namespace attain::chan

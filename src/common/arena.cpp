@@ -1,6 +1,7 @@
 #include "common/arena.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <mutex>
 
@@ -155,13 +156,10 @@ constexpr std::size_t big_header_size(std::size_t node_size) {
 
 int SlabPool::class_index(std::size_t size) {
   if (size > kMaxClass) return -1;
-  std::size_t c = kMinClass;
-  int index = 0;
-  while (c < size) {
-    c <<= 1;
-    ++index;
-  }
-  return index;
+  if (size <= kMinClass) return 0;
+  // The smallest power of two >= size is 2^bit_width(size - 1).
+  static_assert(kMinClass == 16);
+  return static_cast<int>(std::bit_width(size - 1)) - 4;
 }
 
 std::size_t SlabPool::class_size(std::size_t size) {
@@ -216,6 +214,7 @@ void* SlabPool::allocate(std::size_t size) {
     return node;
   }
   ++stats_.arena_refills;
+  stats_.class_refill_bytes[index] += rounded;
   return arena_.allocate(rounded);
 }
 
@@ -279,6 +278,9 @@ SlabPool::Stats all_slabs_stats() {
     sum.oversize_hits += s.oversize_hits;
     sum.bytes_live += s.bytes_live;
     sum.high_water += s.high_water;
+    for (std::size_t c = 0; c < SlabPool::kClassCount; ++c) {
+      sum.class_refill_bytes[c] += s.class_refill_bytes[c];
+    }
   }
   return sum;
 }

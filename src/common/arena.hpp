@@ -143,6 +143,9 @@ class SlabPool {
     std::uint64_t oversize_hits{0};   // oversize served by the exact-size freelist
     std::size_t bytes_live{0};        // currently handed out (rounded to class)
     std::size_t high_water{0};
+    /// Arena bytes each size class has taken (its refills x class size):
+    /// where the pool's reservation went.
+    std::size_t class_refill_bytes[kClassCount]{};
   };
 
   explicit SlabPool(std::size_t first_block_size = Arena::kDefaultBlockSize)
@@ -163,10 +166,11 @@ class SlabPool {
 
   /// Rounded allocation size for `size` (what bytes_live accounts).
   static std::size_t class_size(std::size_t size);
-
- private:
+  /// Size class serving `size` (0 for up to kMinClass bytes, each next one
+  /// doubling), or -1 beyond kMaxClass.
   static int class_index(std::size_t size);
 
+ private:
   struct FreeNode {
     FreeNode* next;
   };

@@ -5,7 +5,10 @@
 namespace attain::ctl {
 
 Controller::Controller(sim::Scheduler& sched, std::string name, SimTime processing_delay)
-    : sched_(sched), name_(std::move(name)), processing_delay_(processing_delay) {}
+    : sched_(sched),
+      name_(std::move(name)),
+      processing_delay_(processing_delay),
+      backlog_(sched, [this](Queued& queued) { process(queued.conn, queued.envelope); }) {}
 
 ConnHandle Controller::add_connection(chan::EnvelopeSink send) {
   conns_.push_back(Conn{std::move(send), 0, false, {}, {}});
@@ -19,12 +22,11 @@ void Controller::on_envelope(ConnHandle conn, chan::Envelope&& envelope) {
     return;
   }
   // Single-threaded processing: each message occupies the controller for
-  // processing_delay_, FIFO behind the current backlog.
+  // processing_delay_, FIFO behind the current backlog. Its key is taken
+  // now, exactly where an at() would have put it.
   const SimTime start = std::max(sched_.now(), busy_until_);
   busy_until_ = start + processing_delay_;
-  sched_.at(busy_until_, [this, conn, envelope = std::move(envelope)]() mutable {
-    process(conn, envelope);
-  });
+  backlog_.push(sched_.reserve(busy_until_), Queued{conn, std::move(envelope)});
 }
 
 void Controller::on_bytes(ConnHandle conn, const Bytes& frame) {
@@ -33,7 +35,7 @@ void Controller::on_bytes(ConnHandle conn, const Bytes& frame) {
 
 void Controller::process(ConnHandle conn, chan::Envelope& envelope) {
   const ofp::Message* msg = chan::ingress_decode(envelope, name_, counters_.decode_errors,
-                                                 "conn " + std::to_string(conn));
+                                                 [conn] { return "conn " + std::to_string(conn); });
   if (msg == nullptr) return;
   handle(conn, *msg);
 }

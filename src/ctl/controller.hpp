@@ -19,6 +19,7 @@
 #include "common/types.hpp"
 #include "ofp/codec.hpp"
 #include "ofp/messages.hpp"
+#include "sim/lane.hpp"
 #include "sim/scheduler.hpp"
 
 namespace attain::ctl {
@@ -52,7 +53,9 @@ class Controller {
   ConnHandle add_connection(chan::EnvelopeSink send);
 
   /// Delivers an envelope arriving from connection `conn`. The message is
-  /// queued behind the controller's processing backlog.
+  /// queued behind the controller's processing backlog: a FIFO lane keyed
+  /// at the instant its processing completes, so one scheduler event serves
+  /// however many messages wait.
   void on_envelope(ConnHandle conn, chan::Envelope&& envelope);
   /// Raw-wire convenience overload (frames one envelope).
   void on_bytes(ConnHandle conn, const Bytes& frame);
@@ -114,6 +117,12 @@ class Controller {
     std::optional<ofp::StatsReply> last_stats;
   };
 
+  /// A message waiting in the processing backlog.
+  struct Queued {
+    ConnHandle conn;
+    chan::Envelope envelope;
+  };
+
   void process(ConnHandle conn, chan::Envelope& envelope);
   void handle(ConnHandle conn, const ofp::Message& msg);
 
@@ -121,6 +130,7 @@ class Controller {
   std::string name_;
   SimTime processing_delay_;
   SimTime busy_until_{0};
+  sim::Lane<Queued> backlog_;
   std::vector<Conn> conns_;
   ControllerCounters counters_;
   std::uint32_t xid_{1};

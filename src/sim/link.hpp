@@ -12,11 +12,16 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <type_traits>
 #include <utility>
 
 #include "common/arena.hpp"
 #include "common/types.hpp"
 #include "sim/scheduler.hpp"
+
+namespace attain::pkt {
+struct Packet;
+}  // namespace attain::pkt
 
 namespace attain::sim {
 
@@ -129,17 +134,25 @@ class Pipe {
       batch_pool_[slot].emplace_back(std::move(payload), size_bytes);
       open_batch_ = slot;
       open_deliver_at_ = deliver_at;
-      sched_->at(deliver_at, [this, slot] { fire_batch(slot); });
+      auto fire = [this, slot] { fire_batch(slot); };
+      static_assert(Task::kNothrowEmplace<decltype(fire)>);
+      sched_->at(deliver_at, fire);
       open_seq_ = sched_->issue_seq();  // snapshot AFTER our own at()
       return;
     }
-    sched_->at(deliver_at, [this, payload = std::move(payload), size_bytes]() mutable {
+    auto deliver = [this, payload = std::move(payload), size_bytes]() mutable {
       --in_flight_;
       if (!up_) return;
       ++stats_.delivered;
       stats_.bytes_delivered += size_bytes;
       if (receiver_) receiver_(std::move(payload));
-    });
+    };
+    if constexpr (std::is_same_v<T, pkt::Packet>) {
+      // The data plane's per-frame event: it must be built in its slot.
+      static_assert(Task::kNothrowEmplace<decltype(deliver)>,
+                    "Pipe<pkt::Packet>'s delivery lambda outgrew Task::kInlineSize");
+    }
+    sched_->at(deliver_at, std::move(deliver));
   }
 
  private:

@@ -6,6 +6,14 @@
 
 namespace attain::sim {
 
+namespace {
+thread_local std::uint32_t t_slots_peak = 0;
+}  // namespace
+
+std::uint32_t Scheduler::thread_slots_peak() { return t_slots_peak; }
+
+void Scheduler::reset_thread_slots_peak() { t_slots_peak = 0; }
+
 void EventHandle::cancel() {
   if (sched_ == nullptr) return;
   Scheduler::Slot& slot = sched_->slot_at(slot_);
@@ -37,6 +45,7 @@ std::uint32_t Scheduler::new_slot() {
   }
   ::new (&slot_at(index)) Slot();
   ++constructed_;
+  if (constructed_ > t_slots_peak) t_slots_peak = constructed_;
   free_head_ = index;
   return index;
 }

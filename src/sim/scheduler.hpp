@@ -2,9 +2,10 @@
 // switches, controllers, hosts, the injector) schedule callbacks on a single
 // Scheduler instance; virtual time advances only through run()/run_until().
 //
-// Every event is keyed by (when, seq), seq being the number of at()/rearm()
-// calls issued before it; events fire in key order. Three structures keep
-// the heap small and the callbacks unmoved without changing that order:
+// Every event is keyed by (when, seq), seq being the number of at()/rearm()/
+// reserve() calls issued before it; events fire in key order. Three
+// structures keep the heap small and the callbacks unmoved without changing
+// that order:
 //
 //  - Slots. An event lives in a slot inside a fixed-size chunk drawn from
 //    the thread's slab pool (mem::thread_slab()), so a slot never moves.
@@ -23,6 +24,11 @@
 //
 // A popped entry sets now() to its time even when every event behind it
 // was cancelled or moved, exactly as a queued tombstone would.
+//
+// Key reservation lets an owner keep a FIFO of payloads outside the slots
+// (sim/lane.hpp) while every payload keeps the key at() would have given
+// it: reserve() issues the key now, at_key() queues the callable under it
+// later, behind its own heap entry.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +65,12 @@ class EventHandle {
   Scheduler* sched_{nullptr};
   std::uint32_t slot_{0};
   std::uint32_t gen_{0};
+};
+
+/// An event's position in the firing order, issued by Scheduler::reserve().
+struct EventKey {
+  SimTime when{0};
+  std::uint64_t seq{0};
 };
 
 /// Min-heap event loop keyed by (time, sequence). Ties break in insertion
@@ -119,6 +131,36 @@ class Scheduler {
     handle = at(when, std::forward<F>(fn));
   }
 
+  /// Issues the key that `at(when, ...)` would give an event now — the same
+  /// issue_seq() step, a past `when` clamped to now() — without queueing
+  /// anything, and closes the open same-instant run. at_key() queues the
+  /// event later. Firing order, issue_seq() and the pipe batcher's
+  /// coalescing guard behave exactly as if at() had been called here.
+  EventKey reserve(SimTime when) {
+    if (when < now_) when = now_;
+    open_tail_ = kNone;  // the reserved seq splits any run opened before it
+    return EventKey{when, seq_++};
+  }
+
+  /// Queues `fn` under a key from reserve(), behind its own heap entry;
+  /// issues no seq. The key must not have been reached yet: call at_key()
+  /// before any event with a later key is dispatched (an owner that
+  /// reserves in FIFO order and queues the next key from the event firing
+  /// under the previous one always does). Each key is used at most once.
+  template <typename F>
+  EventHandle at_key(EventKey key, F&& fn) {
+    const std::uint32_t index = free_head_ != kNone ? free_head_ : new_slot();
+    Slot& slot = slot_at(index);
+    slot.fn.emplace(std::forward<F>(fn));  // a throw leaves the slot free
+    free_head_ = slot.next;
+    slot.due = key.when;
+    slot.next = kNone;
+    slot.cancelled = false;
+    slot.moved = false;
+    heap_.push(QueuedEvent{key.when, key.seq, index});
+    return EventHandle{this, index, slot.gen};
+  }
+
   /// Runs events until the queue drains.
   void run();
 
@@ -129,9 +171,9 @@ class Scheduler {
   /// Number of events executed since construction.
   std::uint64_t events_executed() const { return executed_; }
 
-  /// Monotone count of at()/after()/rearm() calls issued so far. The pipe
-  /// batcher compares snapshots of this counter to prove that no event was
-  /// scheduled anywhere in the process between two sends — the
+  /// Monotone count of at()/after()/rearm()/reserve() calls issued so far.
+  /// The pipe batcher compares snapshots of this counter to prove that no
+  /// event was scheduled anywhere in the process between two sends — the
   /// order-isomorphism guard that makes coalescing same-instant deliveries
   /// safe.
   std::uint64_t issue_seq() const { return seq_; }
@@ -146,6 +188,13 @@ class Scheduler {
   /// stay counted until their entry pops; events chained behind another do
   /// not count. Structural introspection for tests and benches.
   std::size_t queued_entries() const { return heap_.size(); }
+
+  /// The most event slots (the high-water mark of simultaneously live
+  /// events) any scheduler on the calling thread has constructed since the
+  /// last reset_thread_slots_peak() — for benches that reach a cell's
+  /// scheduler only through the scenario API.
+  static std::uint32_t thread_slots_peak();
+  static void reset_thread_slots_peak();
 
  private:
   friend class EventHandle;

@@ -1,10 +1,15 @@
 // Type-erased void() callable for scheduler events. std::function<void()>
-// has a ~16-byte small-buffer: every pipe-delivery lambda (which captures
-// the in-flight payload — a chan::Envelope is a few hundred bytes) would
-// spill to the general heap, one malloc/free per frame per hop. Task keeps
-// a large inline buffer sized for the fattest hot-path lambda; the rare
-// oversized callable lives on the calling thread's slab pool
-// (mem::thread_slab()), which recycles it.
+// has a ~16-byte small-buffer: every data-plane pipe-delivery lambda (which
+// captures the in-flight pkt::Packet) would spill to the general heap, one
+// malloc/free per frame per hop. Task keeps an inline buffer sized for the
+// fattest hot-path lambda; the rare oversized callable lives on the calling
+// thread's slab pool (mem::thread_slab()), which recycles it.
+//
+// Payloads that wait in bulk do not ride in callables at all: the
+// controller backlog keeps its envelopes in a sim::Lane, and control-plane
+// pipes deliver envelopes in batches held by the pipe. What still carries
+// an envelope (an injector's delayed send, a scalar Pipe<chan::Envelope>)
+// is rare and spills.
 //
 // The scheduler never moves a Task: each event slot owns one, at() builds
 // the callable in it with emplace(), and dispatch invokes it where it
@@ -23,9 +28,10 @@ namespace attain::sim {
 
 class Task {
  public:
-  /// Sized for a pipe-delivery lambda carrying an Envelope (decoded
-  /// message + wire bytes caches) with slack for capture padding.
-  static constexpr std::size_t kInlineSize = 384;
+  /// Sized for the largest hot callable, Pipe<pkt::Packet>'s delivery
+  /// lambda: `this`, a 112-byte Packet and its size (sim/link.hpp asserts
+  /// it fits). An event slot is this plus 48 bytes.
+  static constexpr std::size_t kInlineSize = 128;
 
   /// True when emplacing an `F` cannot throw: the callable fits inline and
   /// its construction from `F` is noexcept.

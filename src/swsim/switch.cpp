@@ -459,9 +459,12 @@ void OpenFlowSwitch::schedule_expiry() {
         send_flow_removed(expired);
       }
     }
-    std::erase_if(buffers_, [this](const auto& entry) {
-      return sched_.now() - entry.second.buffered_at >= kBufferTtl;
-    });
+    // Ids are issued in buffering order, so the expired entries are a
+    // prefix of the map.
+    while (!buffers_.empty() &&
+           sched_.now() - buffers_.begin()->second.buffered_at >= kBufferTtl) {
+      buffers_.erase(buffers_.begin());
+    }
     schedule_expiry();
   });
 }

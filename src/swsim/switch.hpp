@@ -76,6 +76,10 @@ enum class ChannelState : std::uint8_t {
 
 class OpenFlowSwitch {
  public:
+  /// A PACKET_IN buffer the controller has not referenced this long is
+  /// dropped at the next expiry tick.
+  static constexpr SimTime kBufferTtl = 10 * kSecond;
+
   /// `send_control` transmits control-channel envelopes toward the
   /// controller (through the injector proxy in an ATTAIN deployment);
   /// `send_packet(port, pkt)` emits a data-plane frame.
@@ -153,13 +157,13 @@ class OpenFlowSwitch {
   bool echo_outstanding_{false};
 
   // PACKET_IN buffer pool. Entries the controller never references (e.g.
-  // consumed LLDP probes) age out so the pool cannot leak full.
+  // consumed LLDP probes) age out so the pool cannot leak full. Keyed by
+  // buffer id, which grows with buffered_at: the oldest entry is first.
   struct Buffered {
     pkt::Packet packet;
     std::uint16_t in_port;
     SimTime buffered_at{0};
   };
-  static constexpr SimTime kBufferTtl = 10 * kSecond;
   mem::map<std::uint32_t, Buffered> buffers_;
   std::uint32_t next_buffer_id_{1};
 

@@ -1,6 +1,7 @@
 // The sim::Scheduler contract written the plainest way: one heap entry per
-// event, cancellation leaves the entry queued as a tombstone, and rearm()
-// is cancel + at. Differential tests run the same seeded programs on both
+// event, cancellation leaves the entry queued as a tombstone, rearm() is
+// cancel + at, and at_key() is the at() that reserve() stood for — the
+// event takes the key issued at reservation time. Differential tests run the same seeded programs on both
 // and compare everything a callback or caller can observe.
 #pragma once
 
@@ -50,6 +51,23 @@ class ReferenceScheduler {
   }
 
   Handle after(SimTime delay, std::function<void()> fn) { return at(now_ + delay, std::move(fn)); }
+
+  struct Key {
+    SimTime when;
+    std::uint64_t seq;
+  };
+
+  Key reserve(SimTime when) {
+    if (when < now_) when = now_;
+    return Key{when, seq_++};
+  }
+
+  Handle at_key(Key key, std::function<void()> fn) {
+    auto event = std::make_shared<Event>();
+    event->fn = std::move(fn);
+    queue_.push(Entry{key.when, key.seq, event});
+    return Handle{event};
+  }
 
   void rearm(Handle& handle, SimTime when, std::function<void()> fn) {
     handle.cancel();

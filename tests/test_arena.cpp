@@ -1,6 +1,7 @@
 // Edge cases of the arena/slab layer (common/arena.hpp): block-chain
 // growth, temporary-scope unwind ordering, reset-and-reuse across runs,
-// slab freelist recycling, and the sim::Task inline/overflow split. The
+// slab freelist recycling and class lookup, and the sim::Task
+// inline/overflow split. The
 // whole-system consequence (zero steady-state allocations) is pinned
 // separately in test_memory_guard.cpp.
 #include <gtest/gtest.h>
@@ -10,6 +11,9 @@
 #include <vector>
 
 #include "common/arena.hpp"
+#include "packet/packet.hpp"
+#include "sim/lane.hpp"
+#include "sim/link.hpp"
 #include "sim/task.hpp"
 
 namespace attain::mem {
@@ -272,20 +276,83 @@ TEST(Task, MoveTransfersOwnership) {
 }
 
 TEST(Task, InlineBufferFitsPipeDeliveryLambda) {
-  // The scheduler's hottest callable is the pipe-delivery lambda carrying a
-  // chan::Envelope by value. A regression that grows it past the inline
-  // buffer would silently reintroduce per-event slab traffic; approximate
-  // its footprint here to keep the budget honest.
-  struct EnvelopeSized {
-    alignas(std::max_align_t) char payload[280];
+  // The scheduler's hottest callables must be built in their event slots:
+  // Pipe<pkt::Packet>'s per-frame delivery, a batching pipe's burst event
+  // and a lane's head event. A regression that grows one past the inline
+  // buffer would silently reintroduce per-event slab traffic, so drive the
+  // real ones through a warmed-up round and count the thread slab's
+  // allocations. (sim/link.hpp and sim/lane.hpp assert the fit at compile
+  // time too.)
+  sim::Scheduler sched;
+  pkt::TcpHeader tcp;
+  tcp.dst_port = 80;
+  const pkt::Packet packet =
+      pkt::make_tcp(pkt::MacAddress::from_u64(1), pkt::MacAddress::from_u64(2),
+                    pkt::Ipv4Address::parse("10.0.0.1"), pkt::Ipv4Address::parse("10.0.0.2"),
+                    tcp, 100, 0);
+  const sim::PipeConfig config{0, 10, 0};
+  std::size_t delivered = 0;
+  sim::Pipe<pkt::Packet> scalar(sched, config);
+  scalar.set_receiver([&](pkt::Packet&&) { ++delivered; });
+  sim::Pipe<pkt::Packet> batched(sched, config);
+  batched.set_batch_receiver([&](sim::PayloadBatch<pkt::Packet>& batch) {
+    delivered += batch.size();
+  });
+  sim::Lane<pkt::Packet> lane(sched, [&](pkt::Packet&) { ++delivered; });
+
+  constexpr int kSends = 64;
+  auto round = [&] {
+    const SimTime start = sched.now();
+    for (int i = 0; i < kSends; ++i) {
+      scalar.send(packet, 100);
+      batched.send(packet, 100);  // the scalar send between splits every burst
+      lane.push(sched.reserve(start + 1 + i), pkt::Packet(packet));
+    }
+    sched.run();
   };
-  EnvelopeSized e{};
-  e.payload[0] = 1;
-  int out = 0;
-  sim::Task t([e, &out] { out = e.payload[0]; });
-  EXPECT_TRUE(t.inline_storage());
-  t();
-  EXPECT_EQ(out, 1);
+  round();  // warm-up: slot chunks, heap, batch storage
+  const std::uint64_t before = thread_slab().stats().allocs;
+  round();
+  // The lane's record chunk, once for the whole burst; nothing per event.
+  EXPECT_EQ(thread_slab().stats().allocs - before, 1u);
+  EXPECT_EQ(delivered, 2u * 3u * kSends);
+}
+
+TEST(SlabPool, ClassLookupMatchesDoublingLoop) {
+  for (std::size_t size = 0; size <= SlabPool::kMaxClass + 1; ++size) {
+    int want_index = -1;
+    std::size_t want_size = size;
+    if (size <= SlabPool::kMaxClass) {
+      want_index = 0;
+      want_size = SlabPool::kMinClass;
+      while (want_size < size) {
+        want_size <<= 1;
+        ++want_index;
+      }
+    }
+    ASSERT_EQ(SlabPool::class_index(size), want_index) << "size " << size;
+    ASSERT_EQ(SlabPool::class_size(size), want_size) << "size " << size;
+  }
+  EXPECT_EQ(SlabPool::class_index(SlabPool::kMaxClass),
+            static_cast<int>(SlabPool::kClassCount) - 1);
+}
+
+TEST(SlabPool, CountsRefillBytesPerClass) {
+  SlabPool pool(4096);
+  void* a = pool.allocate(100);  // 128-byte class (index 3)
+  void* b = pool.allocate(128);
+  void* c = pool.allocate(5000);  // 8 KiB class (index 9)
+  pool.deallocate(a, 100);
+  void* d = pool.allocate(90);  // freelist hit: no refill
+  const SlabPool::Stats& stats = pool.stats();
+  EXPECT_EQ(stats.class_refill_bytes[3], 2u * 128u);
+  EXPECT_EQ(stats.class_refill_bytes[9], 8192u);
+  std::size_t total = 0;
+  for (const std::size_t bytes : stats.class_refill_bytes) total += bytes;
+  EXPECT_EQ(total, 2u * 128u + 8192u);
+  pool.deallocate(b, 128);
+  pool.deallocate(c, 5000);
+  pool.deallocate(d, 90);
 }
 
 }  // namespace

@@ -126,6 +126,56 @@ TEST(Envelope, DecodeFailureIsStickyPerWireGeneration) {
   EXPECT_FALSE(env.decode_failed());
 }
 
+TEST(Envelope, CopiesDeepCopyWireBytesAndDecodeError) {
+  Bytes garbage = ofp::encode(sample_flow_mod());
+  garbage[0] = 0x09;  // wrong version
+  Envelope bad(garbage);
+  ASSERT_EQ(bad.message(), nullptr);
+  ASSERT_FALSE(bad.decode_error().empty());
+
+  Envelope copy(bad);
+  EXPECT_TRUE(copy.decode_failed());
+  EXPECT_EQ(copy.decode_error(), bad.decode_error());
+  EXPECT_TRUE(copy.has_wire());
+  EXPECT_EQ(copy.wire(), garbage);
+  EXPECT_NE(&copy.wire(), &bad.wire());  // its own bytes, not a shared block
+
+  // Editing the copy leaves the original's bytes and error intact.
+  copy.mutable_wire()[0] = 0x01;
+  EXPECT_NE(copy.message(), nullptr);
+  EXPECT_TRUE(copy.decode_error().empty());
+  EXPECT_EQ(bad.wire(), garbage);
+  EXPECT_TRUE(bad.decode_failed());
+  EXPECT_FALSE(bad.decode_error().empty());
+
+  // Copy-assignment over an envelope with both views, then self-assignment.
+  Envelope both(sample_flow_mod(3));
+  both.wire();
+  both = bad;
+  EXPECT_TRUE(both.decode_failed());
+  EXPECT_EQ(both.wire(), garbage);
+  const Envelope& alias = both;
+  both = alias;
+  EXPECT_EQ(both.wire(), garbage);
+  EXPECT_EQ(both.decode_error(), bad.decode_error());
+
+  // A copy of a decoded wire envelope keeps both views current: no codec call.
+  Envelope good(ofp::encode(sample_flow_mod(4)));
+  ASSERT_NE(good.message(), nullptr);
+  const auto before = ofp::codec_ops();
+  const Envelope good_copy = good;
+  EXPECT_TRUE(good_copy.has_message());
+  EXPECT_TRUE(good_copy.has_wire());
+  EXPECT_EQ(good_copy.message()->xid, 4u);
+  EXPECT_EQ(good_copy.wire(), good.wire());
+  EXPECT_EQ(ops_since(before), 0u);
+
+  // A move takes the block; the source is left without wire bytes.
+  Envelope moved(std::move(copy));
+  EXPECT_TRUE(moved.has_wire());
+  EXPECT_FALSE(copy.has_wire());  // NOLINT(bugprone-use-after-move)
+}
+
 TEST(Envelope, SealHidesMessageWithoutDiscardingCache) {
   Envelope env(sample_flow_mod());
   ASSERT_NE(env.message(), nullptr);

@@ -487,6 +487,58 @@ TEST(Controller, ProcessingDelaySerializesWork) {
   EXPECT_EQ(reply_times[1] - reply_times[0], kMillisecond);
 }
 
+/// Records when and from which connection each PACKET_IN is handled.
+class RecordingController : public Controller {
+ public:
+  using Controller::Controller;
+
+  struct Handled {
+    SimTime at;
+    ConnHandle conn;
+    std::uint32_t buffer_id;
+  };
+  std::vector<Handled> handled;
+  std::size_t max_queued{0};
+
+ protected:
+  void on_packet_in(ConnHandle conn, const ofp::PacketIn& pin) override {
+    handled.push_back({sched().now(), conn, pin.buffer_id});
+    max_queued = std::max(max_queued, sched().queued_entries());
+  }
+};
+
+TEST(Controller, BurstWaitsInOneLaneEntry) {
+  // 10 000 PACKET_INs arriving in one instant wait in the backlog lane:
+  // the k-th is handled at (k + 1) x processing_delay, in arrival order,
+  // while the scheduler holds at most two entries.
+  sim::Scheduler sched;
+  constexpr SimTime kDelay = 50 * kMicrosecond;
+  RecordingController controller(sched, "recorder", kDelay);
+  const ConnHandle a = controller.add_connection(nullptr);
+  const ConnHandle b = controller.add_connection(nullptr);
+  constexpr std::uint32_t kBurst = 10'000;
+  for (std::uint32_t k = 0; k < kBurst; ++k) {
+    ofp::PacketIn pin;
+    pin.buffer_id = k;
+    controller.on_envelope(k % 3 == 0 ? b : a,
+                           chan::Envelope(ofp::make_message(k, std::move(pin))));
+    ASSERT_LE(sched.queued_entries(), 2u);
+  }
+  EXPECT_EQ(sched.queued_entries(), 1u);
+  sched.run();
+
+  ASSERT_EQ(controller.handled.size(), kBurst);
+  for (std::uint32_t k = 0; k < kBurst; ++k) {
+    const RecordingController::Handled& h = controller.handled[k];
+    ASSERT_EQ(h.at, static_cast<SimTime>(k + 1) * kDelay) << "message " << k;
+    ASSERT_EQ(h.buffer_id, k) << "message " << k;
+    ASSERT_EQ(h.conn, k % 3 == 0 ? b : a) << "message " << k;
+  }
+  EXPECT_LE(controller.max_queued, 2u);
+  EXPECT_EQ(sched.events_executed(), kBurst);
+  EXPECT_EQ(controller.counters().packet_ins, kBurst);
+}
+
 TEST(Controller, MalformedFrameCountedNotFatal) {
   sim::Scheduler sched;
   RyuSimpleSwitch ryu(sched, 0);

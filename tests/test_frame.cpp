@@ -231,7 +231,7 @@ TEST(Frame, BytesOriginDecodesOnDemand) {
 // control messages carrying it keep their size.
 TEST(Frame, MessageAndEnvelopeSizesDoNotGrow) {
   EXPECT_LE(sizeof(ofp::Message), 192u);
-  EXPECT_LE(sizeof(chan::Envelope), 280u);
+  EXPECT_LE(sizeof(chan::Envelope), 216u);
 }
 
 }  // namespace

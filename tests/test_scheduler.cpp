@@ -203,16 +203,40 @@ TEST(Scheduler, ThrowingCallbackLeavesRestOfRunQueued) {
   EXPECT_EQ(sched.events_executed(), 5u);
 }
 
+TEST(Scheduler, AtKeyFiresWhereTheReservingAtWouldHave) {
+  Scheduler sched;
+  std::vector<int> order;
+  sched.at(10, [&] { order.push_back(0); });
+  const EventKey key = sched.reserve(10);  // splits the same-instant run
+  sched.at(10, [&] { order.push_back(2); });
+  const EventKey past = sched.reserve(-5);  // clamped to now(), like at()
+  EXPECT_EQ(past.when, 0);
+  EXPECT_EQ(sched.issue_seq(), 4u);
+  sched.at_key(key, [&] { order.push_back(1); });
+  EventHandle late = sched.at_key(past, [&] { order.push_back(-1); });
+  EXPECT_EQ(sched.issue_seq(), 4u);  // at_key issues no seq
+  EXPECT_TRUE(late.pending());
+  late.cancel();
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sched.events_executed(), 3u);
+}
+
 // A seeded random program over the public API: at()/after() at duplicate,
 // zero-delay and past times, same-time bursts (also from inside callbacks
 // that are themselves part of a same-time run), cancel(), rearm() later,
-// equal and earlier, handle copies, pending() probes and run_until()
-// deadlines. Every callback draws its next actions from the shared Rng, so
-// two schedulers that fire in the same order replay the same program.
+// equal and earlier, handle copies, pending() probes, run_until()
+// deadlines, and reserve() bursts whose at_key() calls come later — after
+// other issues, out of reservation order, at equal times — but always
+// before the scheduler can reach them (at the end of the reserving
+// callback at the latest). Every callback draws its next actions from the
+// shared Rng, so two schedulers that fire in the same order replay the
+// same program.
 template <typename Sched>
 class RandomProgram {
  public:
   using Handle = decltype(std::declval<Sched&>().at(SimTime{0}, [] {}));
+  using Key = decltype(std::declval<Sched&>().reserve(SimTime{0}));
   using Record = std::array<std::int64_t, 5>;
 
   RandomProgram(Sched& sched, std::uint64_t seed) : sched_(sched), rng_(seed) {}
@@ -222,10 +246,12 @@ class RandomProgram {
     for (int step = 0; step < 40; ++step) {
       const int actions = static_cast<int>(rng_.next_below(4));
       for (int i = 0; i < actions; ++i) act();
+      fill_reserved();
       const SimTime deadline = sched_.now() + static_cast<SimTime>(rng_.next_below(40)) - 5;
       sched_.run_until(deadline);
       trace_.push_back({2, deadline, sched_.now(), executed(), issued()});
     }
+    fill_reserved();
     sched_.run();
     trace_.push_back({3, 0, sched_.now(), executed(), issued()});
     return trace_;
@@ -258,9 +284,43 @@ class RandomProgram {
     trace_.push_back({0, id, sched_.now(), executed(), issued()});
     const int actions = static_cast<int>(rng_.next_below(4));
     for (int i = 0; i < actions; ++i) act();
+    fill_reserved();
   }
 
   enum class Via { kAt, kAfter, kRearm };
+
+  /// Builds a callable for event `id` and hands it to `schedule`; one in
+  /// eight is too large for the inline buffer.
+  template <typename Schedule>
+  void with_callable(std::int64_t id, Schedule schedule) {
+    if (rng_.next_below(8) == 0) {
+      std::array<char, Task::kInlineSize + 64> big{};
+      big[0] = 1;
+      schedule([this, id, big, token = Token(&live_)] { fire(id + big[0] - 1); });
+    } else {
+      schedule([this, id, token = Token(&live_)] { fire(id); });
+    }
+  }
+
+  /// Reserves a key for handle slot `h`; at_key() comes later.
+  void reserve(std::size_t h, SimTime when) {
+    if (budget_ == 0) return;
+    --budget_;
+    reserved_.push_back({sched_.reserve(when), h});
+  }
+
+  /// Queues reservation `i` (in any order) under its key.
+  void fill(std::size_t i) {
+    const auto [key, h] = reserved_[i];
+    reserved_.erase(reserved_.begin() + static_cast<std::ptrdiff_t>(i));
+    const std::int64_t id = next_id_++;
+    due_[h] = key.when;
+    with_callable(id, [&](auto fn) { handles_[h] = sched_.at_key(key, std::move(fn)); });
+  }
+
+  void fill_reserved() {
+    while (!reserved_.empty()) fill(rng_.next_below(reserved_.size()));
+  }
 
   /// Issues one event into handle slot `h`; one in eight callables is too
   /// large for the inline buffer.
@@ -269,20 +329,13 @@ class RandomProgram {
     --budget_;
     const std::int64_t id = next_id_++;
     due_[h] = std::max(when, sched_.now());
-    auto schedule = [&](auto fn) {
+    with_callable(id, [&](auto fn) {
       switch (via) {
         case Via::kAt: handles_[h] = sched_.at(when, std::move(fn)); break;
         case Via::kAfter: handles_[h] = sched_.after(when - sched_.now(), std::move(fn)); break;
         case Via::kRearm: sched_.rearm(handles_[h], when, std::move(fn)); break;
       }
-    };
-    if (rng_.next_below(8) == 0) {
-      std::array<char, Task::kInlineSize + 64> big{};
-      big[0] = 1;
-      schedule([this, id, big, token = Token(&live_)] { fire(id + big[0] - 1); });
-    } else {
-      schedule([this, id, token = Token(&live_)] { fire(id); });
-    }
+    });
   }
 
   SimTime pick_time() {
@@ -299,7 +352,7 @@ class RandomProgram {
 
   void act() {
     const std::size_t h = rng_.next_below(kHandles);
-    switch (rng_.next_below(10)) {
+    switch (rng_.next_below(12)) {
       case 0:
       case 1:
         issue(h, pick_time(), Via::kAt);
@@ -333,6 +386,18 @@ class RandomProgram {
         due_[h] = due_[from];
         break;
       }
+      case 10: {  // reservation burst, some at one time
+        const SimTime when = pick_time();
+        const int n = 1 + static_cast<int>(rng_.next_below(3));
+        for (int i = 0; i < n; ++i) {
+          const std::size_t slot = rng_.next_below(kHandles);
+          reserve(slot, rng_.chance(0.5) ? when : pick_time());
+        }
+        break;
+      }
+      case 11:  // an early at_key(), out of reservation order
+        if (!reserved_.empty()) fill(rng_.next_below(reserved_.size()));
+        break;
       default:
         trace_.push_back({1, static_cast<std::int64_t>(h), handles_[h].pending() ? 1 : 0, 0, 0});
         break;
@@ -344,6 +409,7 @@ class RandomProgram {
   std::array<Handle, kHandles> handles_{};
   std::array<SimTime, kHandles> due_{};
   std::vector<Record> trace_;
+  std::vector<std::pair<Key, std::size_t>> reserved_;  // key, handle slot
   std::int64_t next_id_{0};
   int budget_{kBudget};
   int live_{0};

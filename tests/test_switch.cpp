@@ -298,6 +298,92 @@ TEST(Switch, UnreferencedBuffersAgeOut) {
   EXPECT_TRUE(h.data_out.empty());
 }
 
+TEST(Switch, BufferExpiryErasesExactlyTheAgedBuffers) {
+  // Two misses a second fill the buffer pool and every third buffer is
+  // released at once by PACKET_OUT, leaving holes. Across several 1 s
+  // expiry ticks past the 10 s TTL, a PACKET_OUT naming a buffer older
+  // than the TTL outputs nothing and one naming a younger buffer outputs.
+  Harness h;
+  h.handshake();
+  struct Buffered {
+    std::uint32_t id;
+    SimTime at;
+    bool released;
+  };
+  std::vector<Buffered> buffers;
+  std::size_t outputs = 0;
+
+  // Answers echo requests (keeping the channel up) and returns the buffer
+  // id of the last PACKET_IN sent, if any.
+  auto drain = [&] {
+    std::uint32_t buffer_id = ofp::kNoBuffer;
+    for (const ofp::Message& m : h.take_control()) {
+      if (m.type() == ofp::MsgType::EchoRequest) h.send(ofp::Message{m.xid, ofp::EchoReply{}});
+      if (m.type() == ofp::MsgType::PacketIn) buffer_id = m.as<ofp::PacketIn>().buffer_id;
+    }
+    return buffer_id;
+  };
+  auto packet_out = [&](Buffered& buffer) {
+    ofp::PacketOut out;
+    out.buffer_id = buffer.id;
+    out.actions = ofp::output_to(std::uint16_t{3});
+    h.send(ofp::make_message(99, std::move(out)));
+    buffer.released = true;
+  };
+  std::function<void()> pump = [&] {
+    drain();
+    h.sched.after(kSecond, pump);
+  };
+  h.sched.after(kSecond, pump);
+
+  // Misses at x.3 s and x.6 s, so no miss shares an instant with a tick.
+  for (int i = 0; i < 60; ++i) {
+    const SimTime at = (i / 2) * kSecond + (i % 2 == 0 ? 300 : 600) * kMillisecond;
+    h.sched.at(at, [&, i] {
+      h.sw->on_packet(2, sample_packet(100 + static_cast<std::uint64_t>(i), 2));
+      const std::uint32_t id = drain();
+      ASSERT_NE(id, ofp::kNoBuffer);
+      buffers.push_back({id, h.sched.now(), false});
+      if (i % 3 == 0) {
+        packet_out(buffers.back());
+        EXPECT_EQ(h.data_out.size(), ++outputs) << "a fresh buffer must output";
+      }
+    });
+  }
+
+  // Checkpoints 200 ms after a tick: every buffer is then either older than
+  // the TTL by at least 200 ms (erased at a tick) or younger than it.
+  int probes = 0;
+  for (const SimTime check : {12200 * kMillisecond, 17200 * kMillisecond, 23200 * kMillisecond,
+                              31200 * kMillisecond, 40200 * kMillisecond}) {
+    h.sched.at(check, [&] {
+      Buffered* newest_aged = nullptr;
+      Buffered* oldest_young = nullptr;
+      for (Buffered& b : buffers) {
+        if (b.released) continue;
+        if (h.sched.now() - b.at > OpenFlowSwitch::kBufferTtl) {
+          newest_aged = &b;
+        } else if (oldest_young == nullptr) {
+          oldest_young = &b;
+        }
+      }
+      if (newest_aged != nullptr) {
+        packet_out(*newest_aged);
+        EXPECT_EQ(h.data_out.size(), outputs) << "buffer " << newest_aged->id << " outlived the TTL";
+        ++probes;
+      }
+      if (oldest_young != nullptr) {
+        packet_out(*oldest_young);
+        EXPECT_EQ(h.data_out.size(), ++outputs) << "buffer " << oldest_young->id << " expired early";
+        ++probes;
+      }
+    });
+  }
+  h.sched.run_until(41 * kSecond);
+  EXPECT_EQ(buffers.size(), 60u);
+  EXPECT_EQ(probes, 9);  // no young buffer is left at the last checkpoint
+}
+
 TEST(Switch, MalformedControlFrameAnsweredWithError) {
   Harness h;
   h.handshake();
