@@ -1,27 +1,13 @@
-// The batched message pipeline's acceptance harness, in three parts, all on
+// The batched message pipeline's acceptance harness, in two parts, both on
 // the fat-tree(4) PACKET_IN-flood cell's workload shape:
 //
-//  1. Ingress pipeline (gate: >= 2x) — the per-switch volumetric hot path,
-//     batched end to end: flood generator -> switch ingest (match_batch)
-//     -> typed PACKET_IN (sized, never encoded) -> control-pipe delivery. The
-//     reference is the per-packet path production keeps for the data
-//     plane: make_tcp per frame, OpenFlowSwitch::on_packet per packet
-//     (one table probe, typed PACKET_IN), into a pipe with no batch
-//     receiver (one scheduler event per message). The batched leg builds
-//     its bursts with pkt::FrameStamper, whose setters also patch wire
-//     bytes (src MAC, src IP and its checksum, src port) that nothing
-//     reads; production's emit_flood_batch sets the packet fields
-//     directly instead. Bursts go through on_packet_batch and coalesced
-//     delivery. Event counts must agree exactly (the count_extra_events
-//     contract) and so must the delivered message count.
-//
-//  2. Per-message flood encode (gate: >= 5x) — producing the i-th flood
+//  1. Per-message flood encode (gate: >= 5x) — producing the i-th flood
 //     PACKET_IN wire: build spoofed frame + pkt::encode + PacketIn +
 //     full ofp::encode, vs FrameStamper + StampedTemplate patching. A
 //     sampled differential pass re-checks stamped bytes == full-codec
 //     bytes outside the timed loops.
 //
-//  3. The whole BM_VolumetricCell-shaped cell (timing recorded, not
+//  2. The whole BM_VolumetricCell-shaped cell (timing recorded, not
 //     gated) — one scenario::run(). Its result bytes are pinned by the
 //     golden corpus (tests/golden/pipeline_cell.json).
 //
@@ -32,7 +18,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 
 #include "bench_json.hpp"
@@ -41,8 +26,6 @@
 #include "packet/codec.hpp"
 #include "packet/stamp.hpp"
 #include "scenario/run.hpp"
-#include "sim/link.hpp"
-#include "swsim/switch.hpp"
 #include "topo/generators.hpp"
 
 using namespace attain;
@@ -62,8 +45,7 @@ unsigned env_or(const char* name, unsigned fallback) {
 
 // ---------------------------------------------------------------------------
 // Shared flood shape: the spoofed TCP SYN stream the volumetric generators
-// emit (experiment.cpp's emit_flood_batch), against one fat-tree edge
-// switch.
+// emit (experiment.cpp's emit_flood_batch).
 // ---------------------------------------------------------------------------
 
 pkt::Packet flood_packet(std::uint64_t f) {
@@ -88,85 +70,8 @@ pkt::FrameStamper make_flood_stamper() {
                                          pkt::Ipv4Address{0x0a000202}, tcp, 0, 0));
 }
 
-struct SwitchHarness {
-  sim::Scheduler sched;
-  std::unique_ptr<swsim::OpenFlowSwitch> sw;
-
-  SwitchHarness() {
-    swsim::SwitchConfig config;
-    config.name = "es0_0";
-    config.dpid = 0x1;
-    config.num_ports = 4;
-    sw = std::make_unique<swsim::OpenFlowSwitch>(sched, config);
-    sw->set_control_sender([](chan::Envelope) {});
-    sw->connect();
-    sw->on_control_bytes(ofp::encode(ofp::make_message(1, ofp::Hello{})));
-    sw->on_control_bytes(ofp::encode(ofp::make_message(2, ofp::FeaturesRequest{})));
-  }
-};
-
 // ---------------------------------------------------------------------------
-// Part 1: the ingress pipeline, per-packet vs batched.
-// ---------------------------------------------------------------------------
-
-struct IngressRun {
-  double seconds{0.0};
-  std::size_t delivered{0};
-  std::uint64_t events{0};
-};
-
-IngressRun run_ingress(bool batching, std::size_t packets, std::size_t burst) {
-  SwitchHarness h;
-  // The testbed's control-pipe shape (1 Gbps, 150 us): sub-125-byte frames
-  // serialize in under a microsecond, so same-instant sends share a
-  // delivery instant — the coalescing regime.
-  sim::Pipe<chan::Envelope> pipe(h.sched, sim::PipeConfig{1'000'000'000, 150, 0});
-  IngressRun run;
-  if (batching) {
-    pipe.set_batch_receiver(
-        [&](sim::PayloadBatch<chan::Envelope>& items) { run.delivered += items.size(); });
-  } else {
-    pipe.set_receiver([&](chan::Envelope&&) { ++run.delivered; });
-  }
-  h.sw->set_control_sender([&pipe](chan::Envelope e) {
-    const std::size_t bytes = e.wire_size();  // as Channel::send_from_switch sizes it
-    pipe.send(std::move(e), bytes);
-  });
-
-  pkt::FrameStamper stamper = make_flood_stamper();
-  const std::size_t bursts = packets / burst;
-  for (std::size_t b = 0; b < bursts; ++b) {
-    h.sched.at(static_cast<SimTime>(b) * 100, [&, b] {
-      if (batching) {
-        swsim::PacketBatch batch;
-        batch.port = 3;
-        batch.packets.reserve(burst);
-        for (std::size_t f = b * burst; f < (b + 1) * burst; ++f) {
-          stamper.set_src_mac(pkt::MacAddress::from_u64(0x0aad00000000ULL | f));
-          stamper.set_src_ip(pkt::Ipv4Address{static_cast<std::uint32_t>(0xc0000000u + f)});
-          stamper.set_src_port(static_cast<std::uint16_t>(40000 + (f & 0x3fff)));
-          batch.packets.push_back(stamper.emit_packet());
-        }
-        h.sw->on_packet_batch(std::move(batch));
-      } else {
-        for (std::size_t f = b * burst; f < (b + 1) * burst; ++f) {
-          h.sw->on_packet(3, flood_packet(f));
-        }
-      }
-    });
-  }
-  const auto start = std::chrono::steady_clock::now();
-  // Bounded horizon: the sink never answers echoes, so the switch would
-  // otherwise retry reconnects forever. All flood work is long done by 1 s
-  // virtual.
-  h.sched.run_until(1'000'000);
-  run.seconds = seconds_since(start);
-  run.events = h.sched.events_executed();
-  return run;
-}
-
-// ---------------------------------------------------------------------------
-// Part 2: per-message flood encode, full codec vs stamped.
+// Part 1: per-message flood encode, full codec vs stamped.
 // ---------------------------------------------------------------------------
 
 struct EncodeTiming {
@@ -252,7 +157,7 @@ EncodeTiming time_flood_encode(std::size_t instances) {
 }
 
 // ---------------------------------------------------------------------------
-// Part 3: the whole BM_VolumetricCell-shaped cell.
+// Part 2: the whole BM_VolumetricCell-shaped cell.
 // ---------------------------------------------------------------------------
 
 scenario::RunSpec flood_cell() {
@@ -286,35 +191,9 @@ CellTiming time_cell(const scenario::RunSpec& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  constexpr std::size_t kIngressPackets = 100'000;
-  constexpr std::size_t kIngressBurst = 256;
   constexpr std::size_t kEncodeInstances = 1'000'000;
 
-  std::printf("Batched message pipeline — fat-tree(4) PACKET_IN flood shapes\n\n");
-
-  std::printf("ingress pipeline (%zu packets, bursts of %zu, switch + control pipe):\n",
-              kIngressPackets, kIngressBurst);
-  IngressRun ingress_scalar = run_ingress(false, kIngressPackets, kIngressBurst);
-  IngressRun ingress_batched = run_ingress(true, kIngressPackets, kIngressBurst);
-  for (int rep = 1; rep < 3; ++rep) {
-    const IngressRun s = run_ingress(false, kIngressPackets, kIngressBurst);
-    if (s.seconds < ingress_scalar.seconds) ingress_scalar = s;
-    const IngressRun b = run_ingress(true, kIngressPackets, kIngressBurst);
-    if (b.seconds < ingress_batched.seconds) ingress_batched = b;
-  }
-  const double ingress_speedup = ingress_batched.seconds > 0.0
-                                     ? ingress_scalar.seconds / ingress_batched.seconds
-                                     : 0.0;
-  const bool ingress_identical = ingress_scalar.delivered == ingress_batched.delivered &&
-                                 ingress_scalar.events == ingress_batched.events;
-  std::printf("  per-packet: %.3f s, %zu delivered, %llu events\n", ingress_scalar.seconds,
-              ingress_scalar.delivered,
-              static_cast<unsigned long long>(ingress_scalar.events));
-  std::printf("  batched   : %.3f s, %zu delivered, %llu events\n", ingress_batched.seconds,
-              ingress_batched.delivered,
-              static_cast<unsigned long long>(ingress_batched.events));
-  std::printf("  speedup: %.2fx (gate: >= 2x); counters %s\n", ingress_speedup,
-              ingress_identical ? "identical" : "DIVERGED — BUG");
+  std::printf("Batched message pipeline — fat-tree(4) PACKET_IN flood shapes\n");
 
   const EncodeTiming encode = time_flood_encode(kEncodeInstances);
   const double encode_speedup =
@@ -334,12 +213,9 @@ int main(int argc, char** argv) {
 
   if (const std::string path = bench::json_out_path(argc, argv); !path.empty()) {
     const bench::Metrics metrics = {
-        {"ingress_scalar_seconds", ingress_scalar.seconds},
-        {"ingress_batched_seconds", ingress_batched.seconds},
         {"encode_full_seconds", encode.full_seconds},
         {"encode_stamped_seconds", encode.stamped_seconds},
         {"cell_batched_seconds", cell_batched.seconds},
-        {"ingress_speedup", ingress_speedup},
         {"encode_speedup", encode_speedup},
     };
     if (!bench::write_bench_json(path, "batch_pipeline", "fat_tree4_packet_in_flood",
@@ -351,14 +227,6 @@ int main(int argc, char** argv) {
   }
 
   bool pass = true;
-  if (!ingress_identical) {
-    std::fprintf(stderr, "FAIL: ingress delivered/event counters diverged\n");
-    pass = false;
-  }
-  if (ingress_speedup < 2.0) {
-    std::fprintf(stderr, "FAIL: ingress speedup %.2fx below the 2x gate\n", ingress_speedup);
-    pass = false;
-  }
   if (!encode.byte_identical) {
     std::fprintf(stderr, "FAIL: stamped encode output differs from full codec\n");
     pass = false;

@@ -89,6 +89,16 @@ ExecutionResult AttackExecutor::process(lang::InFlightMessage msg) {
   const auto bucket = rule_buckets_[previous].find(msg.connection);
   std::span<const std::uint32_t> rule_indices;  // stays empty: no rule bound to n
   if (bucket != rule_buckets_[previous].end()) rule_indices = bucket->second;
+  // The fields every event a rule raises on this message shares.
+  const auto rule_event = [&](monitor::EventKind kind, const lang::Rule& rule) {
+    monitor::Event event;
+    event.kind = kind;
+    event.time = msg.timestamp;
+    event.connection = msg.connection;
+    event.rule = rule.name;
+    event.state = state.name;
+    return event;
+  };
   for (const std::uint32_t rule_index : rule_indices) {
     const dsl::CompiledRule& compiled = state.rules[rule_index];
     const lang::Rule& rule = compiled.rule;
@@ -107,17 +117,10 @@ ExecutionResult AttackExecutor::process(lang::InFlightMessage msg) {
     // but a hand-built CompiledAttack could bypass it.
     if (!capabilities_.allows(rule.connection, compiled.required)) {
       ++stats_.capability_violations;
-      if (monitor_.enabled(monitor::EventKind::EvalError)) {
-        monitor::Event event;
-        event.kind = monitor::EventKind::EvalError;
-        event.time = msg.timestamp;
-        event.connection = msg.connection;
-        event.rule = rule.name;
-        event.state = state.name;
+      if (monitor_.wants(monitor::EventKind::EvalError)) {
+        monitor::Event event = rule_event(monitor::EventKind::EvalError, rule);
         event.detail = "runtime capability violation";
         monitor_.record(std::move(event));
-      } else {
-        monitor_.tally(monitor::EventKind::EvalError);
       }
       continue;
     }
@@ -134,18 +137,11 @@ ExecutionResult AttackExecutor::process(lang::InFlightMessage msg) {
       if (status != lang::ExecStatus::Ok) {
         matched = false;
         ++stats_.eval_errors;
-        if (monitor_.enabled(monitor::EventKind::EvalError)) {
-          monitor::Event event;
-          event.kind = monitor::EventKind::EvalError;
-          event.time = msg.timestamp;
-          event.connection = msg.connection;
+        if (monitor_.wants(monitor::EventKind::EvalError)) {
+          monitor::Event event = rule_event(monitor::EventKind::EvalError, rule);
           event.message_id = msg.id;
-          event.rule = rule.name;
-          event.state = state.name;
           event.detail = evaluator_.error_detail(compiled.program, ectx);
           monitor_.record(std::move(event));
-        } else {
-          monitor_.tally(monitor::EventKind::EvalError);
         }
       }
     } else {
@@ -153,36 +149,22 @@ ExecutionResult AttackExecutor::process(lang::InFlightMessage msg) {
         matched = lang::evaluate_bool(*rule.conditional, ectx);
       } catch (const std::exception& err) {
         ++stats_.eval_errors;
-        if (monitor_.enabled(monitor::EventKind::EvalError)) {
-          monitor::Event event;
-          event.kind = monitor::EventKind::EvalError;
-          event.time = msg.timestamp;
-          event.connection = msg.connection;
+        if (monitor_.wants(monitor::EventKind::EvalError)) {
+          monitor::Event event = rule_event(monitor::EventKind::EvalError, rule);
           event.message_id = msg.id;
-          event.rule = rule.name;
-          event.state = state.name;
           event.detail = err.what();
           monitor_.record(std::move(event));
-        } else {
-          monitor_.tally(monitor::EventKind::EvalError);
         }
       }
     }
     if (!matched) continue;
 
     ++stats_.rules_matched;
-    if (monitor_.enabled(monitor::EventKind::RuleMatched)) {
-      monitor::Event event;
-      event.kind = monitor::EventKind::RuleMatched;
-      event.time = msg.timestamp;
-      event.connection = msg.connection;
+    if (monitor_.wants(monitor::EventKind::RuleMatched)) {
+      monitor::Event event = rule_event(monitor::EventKind::RuleMatched, rule);
       event.message_id = msg.id;
       if (const ofp::Message* payload = msg.payload()) event.message_type = payload->type();
-      event.rule = rule.name;
-      event.state = state.name;
       monitor_.record(std::move(event));
-    } else {
-      monitor_.tally(monitor::EventKind::RuleMatched);
     }
 
     mod_ctx_.original = &msg;
@@ -197,17 +179,10 @@ ExecutionResult AttackExecutor::process(lang::InFlightMessage msg) {
         if (target != current_) {
           current_ = target;  // lines 11–12
           ++stats_.state_transitions;
-          if (monitor_.enabled(monitor::EventKind::StateTransition)) {
-            monitor::Event event;
-            event.kind = monitor::EventKind::StateTransition;
-            event.time = msg.timestamp;
-            event.connection = msg.connection;
-            event.rule = rule.name;
-            event.state = state.name;
+          if (monitor_.wants(monitor::EventKind::StateTransition)) {
+            monitor::Event event = rule_event(monitor::EventKind::StateTransition, rule);
             event.detail = "-> " + go->state;
             monitor_.record(std::move(event));
-          } else {
-            monitor_.tally(monitor::EventKind::StateTransition);
           }
         }
         continue;
@@ -218,16 +193,10 @@ ExecutionResult AttackExecutor::process(lang::InFlightMessage msg) {
       }
       if (const auto* syscmd = std::get_if<lang::ActSysCmd>(&action)) {
         result.syscmds.push_back(SysCmdCall{syscmd->host, syscmd->command});
-        if (monitor_.enabled(monitor::EventKind::SysCmd)) {
-          monitor::Event event;
-          event.kind = monitor::EventKind::SysCmd;
-          event.time = msg.timestamp;
-          event.rule = rule.name;
-          event.state = state.name;
+        if (monitor_.wants(monitor::EventKind::SysCmd)) {
+          monitor::Event event = rule_event(monitor::EventKind::SysCmd, rule);
           event.detail = syscmd->host + ": " + syscmd->command;
           monitor_.record(std::move(event));
-        } else {
-          monitor_.tally(monitor::EventKind::SysCmd);
         }
         continue;
       }

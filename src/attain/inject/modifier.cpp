@@ -26,18 +26,8 @@ monitor::Event base_event(monitor::EventKind kind, const ModifierContext& ctx) {
   return event;
 }
 
-/// True when the monitor keeps full events of `kind`. In counters-only mode
-/// it tallies the kind instead and returns false, so callers skip building
-/// the string-heavy Event.
-bool wants_event(ModifierContext& ctx, monitor::EventKind kind) {
-  if (ctx.monitor == nullptr) return false;
-  if (ctx.monitor->enabled(kind)) return true;
-  ctx.monitor->tally(kind);
-  return false;
-}
-
 void record(ModifierContext& ctx, monitor::EventKind kind, std::string detail = {}) {
-  if (!wants_event(ctx, kind)) return;
+  if (!ctx.monitor->wants(kind)) return;
   monitor::Event event = base_event(kind, ctx);
   event.detail = std::move(detail);
   ctx.monitor->record(std::move(event));
@@ -94,7 +84,7 @@ bool apply_action(const lang::ActionSpec& action, OutMessageList& out,
     return true;
   }
   if (const auto* read_meta = std::get_if<ActReadMeta>(&action)) {
-    if (!wants_event(ctx, monitor::EventKind::ActionExecuted)) return true;
+    if (!ctx.monitor->wants(monitor::EventKind::ActionExecuted)) return true;
     monitor::Event event = base_event(monitor::EventKind::ActionExecuted, ctx);
     event.detail = "read_meta";
     if (ctx.original != nullptr) {
@@ -109,7 +99,7 @@ bool apply_action(const lang::ActionSpec& action, OutMessageList& out,
       note_failure(ctx, "read(msg): payload not readable");
       return false;
     }
-    if (!wants_event(ctx, monitor::EventKind::ActionExecuted)) return true;
+    if (!ctx.monitor->wants(monitor::EventKind::ActionExecuted)) return true;
     monitor::Event event = base_event(monitor::EventKind::ActionExecuted, ctx);
     event.detail = "read: " + ctx.original->payload()->summary() +
                    (read->note.empty() ? "" : " note=" + read->note);

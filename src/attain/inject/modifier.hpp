@@ -32,6 +32,7 @@ struct ModifierContext {
   const lang::InFlightMessage* original{nullptr};
   lang::DequeStore* storage{nullptr};
   Rng* rng{nullptr};
+  /// Required: every action event is counted or recorded here.
   monitor::Monitor* monitor{nullptr};
   /// Allocates message ids for injected/duplicated messages.
   std::function<std::uint64_t()> next_id;

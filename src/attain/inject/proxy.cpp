@@ -211,15 +211,13 @@ void RuntimeInjector::deliver(OutMessage&& out) {
   const auto endpoint = endpoints_.find(conn);
   if (endpoint == endpoints_.end()) {
     ++stats_.undeliverable;
-    if (monitor_.enabled(monitor::EventKind::EvalError)) {
+    if (monitor_.wants(monitor::EventKind::EvalError)) {
       monitor::Event event;
       event.kind = monitor::EventKind::EvalError;
       event.time = sched_.now();
       event.connection = msg.connection;
       event.detail = "undeliverable: no attached connection for redirect target";
       monitor_.record(std::move(event));
-    } else {
-      monitor_.tally(monitor::EventKind::EvalError);
     }
     return;
   }
@@ -227,7 +225,7 @@ void RuntimeInjector::deliver(OutMessage&& out) {
   auto do_send = [this, conn, ep = &endpoint->second, direction = msg.direction,
                   envelope = std::move(msg.envelope)]() mutable {
     ++stats_.messages_delivered;
-    if (monitor_.enabled(monitor::EventKind::MessageForwarded)) {
+    if (monitor_.wants(monitor::EventKind::MessageForwarded)) {
       monitor::Event event;
       event.kind = monitor::EventKind::MessageForwarded;
       event.time = sched_.now();
@@ -236,8 +234,6 @@ void RuntimeInjector::deliver(OutMessage&& out) {
       if (const ofp::Message* payload = envelope.message()) event.message_type = payload->type();
       event.length = envelope.wire_size();
       monitor_.record(std::move(event));
-    } else {
-      monitor_.tally(monitor::EventKind::MessageForwarded);
     }
     ep->send(direction, std::move(envelope));
   };

@@ -110,6 +110,16 @@ class Monitor {
   /// Pairs with enabled() so kind counts match the record() path exactly.
   void tally(EventKind kind, std::uint64_t n = 1) { kind_counts_[index(kind)] += n; }
 
+  /// The emission idiom: true when the caller should build an Event of
+  /// this kind and record() it. When the event is not enabled() it is
+  /// tallied here instead and false comes back, so either way the kind is
+  /// counted exactly once.
+  bool wants(EventKind kind) {
+    if (enabled(kind)) return true;
+    tally(kind);
+    return false;
+  }
+
   bool counters_only() const { return counters_only_; }
 
   /// Counter-only mirror of a MessageObserved record(): bumps the kind,

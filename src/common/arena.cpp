@@ -12,7 +12,7 @@ namespace attain::mem {
 // ---------------------------------------------------------------------------
 
 struct Arena::Block {
-  Block* next{nullptr};
+  Block* prev{nullptr};
   std::size_t capacity{0};
   std::size_t used{0};
   // Payload follows the header, max_align_t-aligned.
@@ -29,118 +29,32 @@ Arena::Arena(std::size_t first_block_size)
     : first_block_size_(std::max<std::size_t>(first_block_size, 256)) {}
 
 Arena::~Arena() {
-  Block* b = head_;
-  while (b != nullptr) {
-    Block* next = b->next;
+  while (Block* b = current_) {
+    current_ = b->prev;
     ::operator delete(static_cast<void*>(b));
-    b = next;
   }
-}
-
-Arena::Block* Arena::new_block(std::size_t payload) {
-  void* raw = ::operator new(Block::header_size() + payload);
-  Block* b = new (raw) Block;
-  b->capacity = payload;
-  stats_.bytes_reserved += payload;
-  ++stats_.block_count;
-  return b;
 }
 
 void* Arena::allocate(std::size_t size, std::size_t align) {
   ++stats_.allocations;
   if (size == 0) size = 1;
-  for (Block* b = current_; b != nullptr; b = b->next) {
-    const std::size_t aligned = (b->used + align - 1) & ~(align - 1);
-    if (aligned + size <= b->capacity) {
-      b->used = aligned + size;
-      current_ = b;
-      stats_.bytes_in_use += size;
-      stats_.high_water = std::max(stats_.high_water, stats_.bytes_in_use);
-      return b->data() + aligned;
-    }
-    // Fall through to the next retained block (left over from a reset).
+  Block* b = current_;
+  std::size_t aligned = b != nullptr ? (b->used + align - 1) & ~(align - 1) : 0;
+  if (b == nullptr || aligned + size > b->capacity) {
+    // Chain a fresh block: geometric growth, capped, and big enough for
+    // oversized requests in one piece.
+    std::size_t payload =
+        b != nullptr ? std::min(kMaxBlockSize, b->capacity * 2) : first_block_size_;
+    payload = std::max(payload, size + align);
+    b = new (::operator new(Block::header_size() + payload)) Block{current_, payload, 0};
+    current_ = b;
+    stats_.bytes_reserved += payload;
+    ++stats_.block_count;
+    aligned = 0;
   }
-  // Chain a fresh block: geometric growth, capped, and big enough for
-  // oversized requests in one piece.
-  std::size_t payload = first_block_size_;
-  if (current_ != nullptr) {
-    payload = std::min(kMaxBlockSize, current_->capacity * 2);
-  }
-  payload = std::max(payload, size + align);
-  Block* b = new_block(payload);
-  if (head_ == nullptr) {
-    head_ = b;
-  } else {
-    // Append at the end of the chain so retained blocks keep their order.
-    Block* tail = current_ != nullptr ? current_ : head_;
-    while (tail->next != nullptr) tail = tail->next;
-    tail->next = b;
-  }
-  current_ = b;
-  const std::size_t aligned = (b->used + align - 1) & ~(align - 1);
   b->used = aligned + size;
   stats_.bytes_in_use += size;
-  stats_.high_water = std::max(stats_.high_water, stats_.bytes_in_use);
   return b->data() + aligned;
-}
-
-void Arena::reserve(std::size_t size) {
-  for (Block* b = current_; b != nullptr; b = b->next) {
-    if (b->used + size <= b->capacity) return;
-  }
-  Block* b = new_block(std::max(first_block_size_, size));
-  if (head_ == nullptr) {
-    head_ = b;
-    current_ = b;
-  } else {
-    Block* tail = head_;
-    while (tail->next != nullptr) tail = tail->next;
-    tail->next = b;
-  }
-}
-
-void Arena::reset() {
-  for (Block* b = head_; b != nullptr; b = b->next) b->used = 0;
-  current_ = head_;
-  stats_.bytes_in_use = 0;
-  ++stats_.resets;
-}
-
-void Arena::reset_and_trim() {
-  reset();
-  if (head_ == nullptr) return;
-  Block* b = head_->next;
-  head_->next = nullptr;
-  current_ = head_;
-  while (b != nullptr) {
-    Block* next = b->next;
-    stats_.bytes_reserved -= b->capacity;
-    --stats_.block_count;
-    ::operator delete(static_cast<void*>(b));
-    b = next;
-  }
-}
-
-Arena::Mark Arena::mark() const {
-  Mark m;
-  m.block = current_;
-  m.used = current_ != nullptr ? current_->used : 0;
-  m.bytes_in_use = stats_.bytes_in_use;
-  return m;
-}
-
-void Arena::rewind(const Mark& m) {
-  Block* target = static_cast<Block*>(m.block);
-  if (target == nullptr) {
-    // Mark taken before the first allocation: empty everything.
-    for (Block* b = head_; b != nullptr; b = b->next) b->used = 0;
-    current_ = head_;
-  } else {
-    target->used = m.used;
-    for (Block* b = target->next; b != nullptr; b = b->next) b->used = 0;
-    current_ = target;
-  }
-  stats_.bytes_in_use = m.bytes_in_use;
 }
 
 // ---------------------------------------------------------------------------

@@ -2,13 +2,11 @@
 //
 // Three layers, bottom up:
 //
-//  - Arena: a chained-block bump allocator (the reserve/commit idiom,
-//    portable): allocation advances a cursor through geometrically growing
-//    blocks; nothing is freed individually. TempScope marks a position and
-//    unwinds to it; reset() rewinds the whole arena while *retaining* its
-//    blocks, so the next run reuses the committed memory with zero calls
-//    into the general heap. Per-arena byte/high-water stats make ownership
-//    visible to benches and tests.
+//  - Arena: a chained-block bump allocator: allocation advances a cursor
+//    through geometrically growing blocks; nothing is freed individually,
+//    and the blocks go back to the heap only when the arena dies. Its
+//    byte/block stats make the reservation visible to benches and tests.
+//    Each SlabPool owns one as its backing store.
 //
 //  - SlabPool: power-of-two size-class freelists carved out of an Arena.
 //    allocate/deallocate recycle blocks of a class in LIFO order; once a
@@ -44,19 +42,17 @@
 namespace attain::mem {
 
 /// Chained-block bump arena. Not thread-safe; one arena belongs to one
-/// owner (a run, a connection, a monitor).
+/// owner (a SlabPool).
 class Arena {
  public:
   static constexpr std::size_t kDefaultBlockSize = 64 * 1024;
   static constexpr std::size_t kMaxBlockSize = 1024 * 1024;
 
   struct Stats {
-    std::size_t bytes_in_use{0};    // currently committed to live allocations
+    std::size_t bytes_in_use{0};    // handed out by allocate() so far
     std::size_t bytes_reserved{0};  // sum of block payload capacities
-    std::size_t high_water{0};      // max bytes_in_use ever observed
     std::size_t block_count{0};
     std::uint64_t allocations{0};   // allocate() calls over the arena's lifetime
-    std::uint64_t resets{0};
   };
 
   explicit Arena(std::size_t first_block_size = kDefaultBlockSize);
@@ -66,61 +62,19 @@ class Arena {
   Arena& operator=(const Arena&) = delete;
 
   /// Bump-allocates `size` bytes aligned to `align` (a power of two, at
-  /// most alignof(std::max_align_t)). Never returns nullptr; grows the
-  /// chain when the current block is exhausted. Oversized requests get a
+  /// most alignof(std::max_align_t)). Never returns nullptr; chains a new
+  /// block when the current one is exhausted. Oversized requests get a
   /// dedicated block.
   void* allocate(std::size_t size, std::size_t align = alignof(std::max_align_t));
 
-  /// Ensures at least `size` contiguous bytes can be allocated without a
-  /// new block (the "reserve" half of reserve/commit).
-  void reserve(std::size_t size);
-
-  /// Rewinds the whole arena to empty. Every block is retained for reuse —
-  /// the wholesale teardown at run boundaries costs no heap traffic.
-  void reset();
-
-  /// reset(), then returns every block but the first to the heap (for
-  /// arenas whose high-water was a one-off spike).
-  void reset_and_trim();
-
   const Stats& stats() const { return stats_; }
-
-  /// A position in the arena; TempScope unwinds to one.
-  struct Mark {
-    void* block{nullptr};
-    std::size_t used{0};
-    std::size_t bytes_in_use{0};
-  };
-
-  Mark mark() const;
-  /// Unwinds to `m`: everything allocated after mark() is discarded.
-  /// Blocks stay on the chain. Marks must unwind in LIFO order.
-  void rewind(const Mark& m);
 
  private:
   struct Block;
 
-  Block* new_block(std::size_t payload);
-
-  Block* head_{nullptr};     // first block of the chain
-  Block* current_{nullptr};  // block the cursor is in
+  Block* current_{nullptr};  // newest block; each block links to the one before
   std::size_t first_block_size_;
   Stats stats_;
-};
-
-/// RAII temporary-memory scope: everything allocated from `arena` while
-/// the scope is alive is released when it dies. Scopes nest LIFO.
-class TempScope {
- public:
-  explicit TempScope(Arena& arena) : arena_(arena), mark_(arena.mark()) {}
-  ~TempScope() { arena_.rewind(mark_); }
-
-  TempScope(const TempScope&) = delete;
-  TempScope& operator=(const TempScope&) = delete;
-
- private:
-  Arena& arena_;
-  Arena::Mark mark_;
 };
 
 /// Size-class slab pool over an Arena. allocate() pops the class freelist
@@ -215,10 +169,9 @@ SlabPool::Stats all_slabs_stats();
 std::size_t thread_slab_count();
 
 /// Marks a run (sweep-cell) boundary on this thread: bumps the boundary
-/// counter benches key per-cell deltas from. Run-scoped arenas (monitor
-/// event logs, per-connection frame buffers) are torn down wholesale by
-/// their owners' destructors; the thread slab persists by design so the
-/// next cell reuses its freelists.
+/// counter benches key per-cell deltas from. A cell's containers return
+/// their blocks to the thread slab as they die; the slab persists by
+/// design, so the next cell reuses its freelists.
 void run_boundary();
 
 /// Boundaries recorded on this thread (run_boundary() calls).
@@ -243,35 +196,6 @@ struct SlabAllocator {
 
   friend bool operator==(const SlabAllocator&, const SlabAllocator&) { return true; }
   friend bool operator!=(const SlabAllocator&, const SlabAllocator&) { return false; }
-};
-
-/// Std-allocator over one specific Arena — for run-scoped containers whose
-/// elements all die together (monitor event logs). deallocate() is a no-op;
-/// the owner resets or destroys the arena wholesale.
-template <typename T>
-struct ArenaAllocator {
-  using value_type = T;
-  using propagate_on_container_move_assignment = std::true_type;
-  using propagate_on_container_swap = std::true_type;
-
-  Arena* arena{nullptr};
-
-  ArenaAllocator() noexcept = default;
-  explicit ArenaAllocator(Arena& a) noexcept : arena(&a) {}
-  template <typename U>
-  ArenaAllocator(const ArenaAllocator<U>& other) noexcept : arena(other.arena) {}
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(arena->allocate(n * sizeof(T), alignof(T)));
-  }
-  void deallocate(T*, std::size_t) noexcept {}
-
-  friend bool operator==(const ArenaAllocator& a, const ArenaAllocator& b) {
-    return a.arena == b.arena;
-  }
-  friend bool operator!=(const ArenaAllocator& a, const ArenaAllocator& b) {
-    return a.arena != b.arena;
-  }
 };
 
 // Slab-backed aliases for the simulator's hot containers.

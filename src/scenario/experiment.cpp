@@ -629,10 +629,10 @@ class VolumetricWarmup final : public WarmupPhase {
     }
   }
 
-  /// Flood emission: one PacketBatch per (source, interval) event. Every
-  /// packet is a fixed TCP SYN toward the victim with the flow's own source
-  /// MAC, IPv4 address and TCP port; the switch ships each miss as a typed
-  /// frame, so no packet is encoded.
+  /// Flood emission: one (source, interval) event hands its frames to the
+  /// switch one at a time. Every packet is a fixed TCP SYN toward the
+  /// victim with the flow's own source MAC, IPv4 address and TCP port; the
+  /// switch ships each miss as a typed frame, so no packet is encoded.
   void emit_flood_batch(swsim::OpenFlowSwitch& sw, std::uint16_t port, std::uint64_t base,
                         std::uint64_t lo, std::uint64_t hi, pkt::MacAddress victim_mac,
                         pkt::Ipv4Address victim_ip) {
@@ -641,17 +641,13 @@ class VolumetricWarmup final : public WarmupPhase {
     tcp.flags = pkt::kTcpSyn;
     pkt::Packet packet = pkt::make_tcp(pkt::MacAddress{}, victim_mac, pkt::Ipv4Address{},
                                        victim_ip, tcp, /*payload_size=*/0, /*tag=*/0);
-    swsim::PacketBatch batch;
-    batch.port = port;
-    batch.packets.reserve(hi - lo);
     for (std::uint64_t f = lo; f < hi; ++f) {
       packet.eth.src = pkt::MacAddress::from_u64(0x0aad00000000ULL | (base + f));
       packet.ipv4->src = pkt::Ipv4Address{static_cast<std::uint32_t>(0xc0000000u + base + f)};
       packet.tcp->src_port = static_cast<std::uint16_t>(40000 + (f & 0x3fff));
-      batch.packets.push_back(packet);
       ++injected_;
+      sw.on_packet(port, packet);
     }
-    sw.on_packet_batch(std::move(batch));
   }
 
   RunSpec rep_;

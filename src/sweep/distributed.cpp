@@ -380,6 +380,17 @@ DistributedReport DistributedRunner::run(const std::vector<scenario::RunSpec>& g
       }
     };
 
+    // Applies the intact frames still buffered in a worker's result pipe,
+    // up to EOF or the first bad frame.
+    auto drain_results = [&](WorkerProc& w) {
+      for (;;) {
+        Bytes payload;
+        if (snap::wire::read_frame(w.result_fd, payload) != snap::wire::FrameStatus::Ok) return;
+        std::span<const std::uint8_t> body;
+        if (!snap::wire::unseal(payload, body) || !handle_frame(w, body)) return;
+      }
+    };
+
     auto reap = [&](WorkerProc& w) {
       if (w.pid > 0) {
         int wstatus = 0;
@@ -430,15 +441,7 @@ DistributedReport DistributedRunner::run(const std::vector<scenario::RunSpec>& g
       }
       if (w.pid > 0) ::kill(w.pid, SIGKILL);
       reap(w);  // after this the result pipe can only drain to EOF
-      if (drain && w.result_fd >= 0) {
-        for (;;) {
-          Bytes payload;
-          if (snap::wire::read_frame(w.result_fd, payload) != snap::wire::FrameStatus::Ok) break;
-          std::span<const std::uint8_t> body;
-          if (!snap::wire::unseal(payload, body)) break;
-          if (!handle_frame(w, body)) break;
-        }
-      }
+      if (drain && w.result_fd >= 0) drain_results(w);
       if (w.result_fd >= 0) {
         ::close(w.result_fd);
         w.result_fd = -1;
@@ -614,13 +617,7 @@ DistributedReport DistributedRunner::run(const std::vector<scenario::RunSpec>& g
       if (!w.alive) continue;
       ::close(w.task_fd);
       w.task_fd = -1;
-      for (;;) {
-        Bytes payload;
-        if (snap::wire::read_frame(w.result_fd, payload) != snap::wire::FrameStatus::Ok) break;
-        std::span<const std::uint8_t> body;
-        if (!snap::wire::unseal(payload, body)) break;
-        if (!handle_frame(w, body)) break;
-      }
+      drain_results(w);
       ::close(w.result_fd);
       w.result_fd = -1;
       reap(w);

@@ -95,6 +95,8 @@ class FlowTable {
   /// structure), with one upfront pass that hashes every key and
   /// software-prefetches its exact-tier bucket, so the dependent cache
   /// misses overlap across the batch instead of serializing per packet.
+  /// The switch looks packets up one at a time; e2e_bench's replay is the
+  /// caller.
   void match_batch(const pkt::FlowKey* keys, const std::size_t* wire_sizes, std::size_t count,
                    SimTime now, const FlowEntry** out);
 

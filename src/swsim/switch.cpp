@@ -332,42 +332,8 @@ void OpenFlowSwitch::on_packet(std::uint16_t port, pkt::Packet packet) {
   }
 }
 
-void OpenFlowSwitch::on_packet_batch(PacketBatch batch) {
-  if (state_ != ChannelState::Connected) {
-    // Disconnected fail-mode handling takes the per-packet path unchanged.
-    for (pkt::Packet& packet : batch.packets) on_packet(batch.port, std::move(packet));
-    return;
-  }
-  const SimTime now = sched_.now();
-  const std::size_t count = batch.packets.size();
-  // Slab-backed scratch: steady-state batches recycle these pages.
-  mem::vector<pkt::FlowKey> keys;
-  mem::vector<std::size_t> sizes;
-  mem::vector<const FlowEntry*> entries(count, nullptr);
-  keys.reserve(count);
-  sizes.reserve(count);
-  for (const pkt::Packet& packet : batch.packets) {
-    keys.push_back(pkt::FlowKey::from_packet(packet, batch.port));
-    sizes.push_back(packet.wire_size());
-  }
-  // Nothing below mutates the table's structure (control messages travel
-  // over pipes), so matching every key up front — with the prefetch pass —
-  // selects exactly what per-packet matching would.
-  table_.match_batch(keys.data(), sizes.data(), count, now, entries.data());
-  for (std::size_t i = 0; i < count; ++i) {
-    ++counters_.packets_in;
-    if (entries[i] != nullptr) {
-      apply_actions(entries[i]->actions, std::move(batch.packets[i]), batch.port);
-      continue;
-    }
-    ++counters_.table_misses;
-    table_miss(batch.packets[i], batch.port);
-  }
-}
-
 void OpenFlowSwitch::table_miss(const pkt::Packet& packet, std::uint16_t in_port) {
-  // Buffering decision first, exactly the scalar order: buffer id, then
-  // the shipped data region (miss_send_len-truncated when buffered, the
+  // Buffering decision first: buffer id, then the shipped data region (miss_send_len-truncated when buffered, the
   // whole frame when the pool is exhausted), then the xid. The frame is
   // typed: its bytes are encoded only if something on the path reads them.
   ofp::PacketIn pin;  // buffer_id kNoBuffer, reason NoMatch

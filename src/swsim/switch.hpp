@@ -23,14 +23,6 @@
 
 namespace attain::swsim {
 
-/// A burst of data-plane packets arriving on one ingress port at one
-/// instant (the volumetric flood generators emit these). A table miss
-/// ships each packet as a typed pkt::Frame, so no packet is encoded.
-struct PacketBatch {
-  std::uint16_t port{0};
-  mem::vector<pkt::Packet> packets;
-};
-
 struct SwitchConfig {
   std::string name{"s?"};
   std::uint64_t dpid{1};
@@ -99,13 +91,6 @@ class OpenFlowSwitch {
 
   /// Delivers a data-plane frame arriving on `port`.
   void on_packet(std::uint16_t port, pkt::Packet packet);
-
-  /// Delivers a burst of data-plane frames arriving together on one port.
-  /// Observationally identical to calling on_packet() once per frame in
-  /// order; while the channel is Connected the flow-table lookups run
-  /// through match_batch() (prefetched). Table misses on either path send
-  /// typed PACKET_INs.
-  void on_packet_batch(PacketBatch batch);
 
   /// Administratively raises/lowers a port (models link failure at this
   /// end). Lowering drops all egress on the port and emits a PORT_STATUS

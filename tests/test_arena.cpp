@@ -1,7 +1,6 @@
 // Edge cases of the arena/slab layer (common/arena.hpp): block-chain
-// growth, temporary-scope unwind ordering, reset-and-reuse across runs,
-// slab freelist recycling and class lookup, and the sim::Task
-// inline/overflow split. The
+// growth, alignment, slab freelist recycling and class lookup, and the
+// sim::Task inline/overflow split. The
 // whole-system consequence (zero steady-state allocations) is pinned
 // separately in test_memory_guard.cpp.
 #include <gtest/gtest.h>
@@ -65,80 +64,6 @@ TEST(Arena, AlignmentIsRespected) {
   arena.allocate(3, 1);
   void* q = arena.allocate(16, alignof(std::max_align_t));
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(q) % alignof(std::max_align_t), 0u);
-}
-
-TEST(Arena, ResetRetainsBlocksAndReusesThem) {
-  Arena arena(1024);
-  for (int i = 0; i < 100; ++i) arena.allocate(512);
-  const std::size_t reserved = arena.stats().bytes_reserved;
-  const std::size_t blocks = arena.stats().block_count;
-
-  arena.reset();
-  EXPECT_EQ(arena.stats().bytes_in_use, 0u);
-  EXPECT_EQ(arena.stats().bytes_reserved, reserved);  // retained, not freed
-  EXPECT_EQ(arena.stats().block_count, blocks);
-  EXPECT_EQ(arena.stats().resets, 1u);
-
-  // The next run's allocations land in the retained blocks: no new blocks.
-  for (int i = 0; i < 100; ++i) arena.allocate(512);
-  EXPECT_EQ(arena.stats().block_count, blocks);
-  EXPECT_EQ(arena.stats().bytes_reserved, reserved);
-}
-
-TEST(Arena, ResetAndTrimKeepsOnlyFirstBlock) {
-  Arena arena(1024);
-  for (int i = 0; i < 100; ++i) arena.allocate(512);
-  ASSERT_GT(arena.stats().block_count, 1u);
-  arena.reset_and_trim();
-  EXPECT_EQ(arena.stats().block_count, 1u);
-  EXPECT_EQ(arena.stats().bytes_in_use, 0u);
-}
-
-TEST(Arena, HighWaterTracksPeakNotCurrent) {
-  Arena arena(1024);
-  arena.allocate(600);
-  arena.reset();
-  arena.allocate(100);
-  EXPECT_EQ(arena.stats().bytes_in_use, 100u);
-  EXPECT_GE(arena.stats().high_water, 600u);
-}
-
-TEST(TempScope, UnwindReleasesScopeAllocations) {
-  Arena arena(1024);
-  arena.allocate(100);
-  const std::size_t before = arena.stats().bytes_in_use;
-  {
-    TempScope scope(arena);
-    arena.allocate(200);
-    arena.allocate(200);
-    EXPECT_GT(arena.stats().bytes_in_use, before);
-  }
-  EXPECT_EQ(arena.stats().bytes_in_use, before);
-}
-
-TEST(TempScope, NestedScopesUnwindInLifoOrder) {
-  Arena arena(256);  // small first block so scopes span block boundaries
-  arena.allocate(100);
-  const std::size_t base = arena.stats().bytes_in_use;
-  {
-    TempScope outer(arena);
-    arena.allocate(300);
-    const std::size_t after_outer = arena.stats().bytes_in_use;
-    {
-      TempScope inner(arena);
-      arena.allocate(500);  // forces chain growth inside the inner scope
-      EXPECT_GT(arena.stats().bytes_in_use, after_outer);
-    }
-    EXPECT_EQ(arena.stats().bytes_in_use, after_outer);
-    arena.allocate(50);  // allocating after an inner unwind is fine
-  }
-  EXPECT_EQ(arena.stats().bytes_in_use, base);
-
-  // Memory released by the unwinds is reallocatable without new blocks.
-  const std::size_t blocks = arena.stats().block_count;
-  arena.allocate(300);
-  arena.allocate(500);
-  EXPECT_EQ(arena.stats().block_count, blocks);
 }
 
 TEST(SlabPool, RecyclesThroughFreelist) {
@@ -235,14 +160,6 @@ TEST(SlabAllocatorTest, RebindWorksAcrossContainers) {
   d.push_back(1);
   d.push_front(0);
   EXPECT_EQ(d.front(), 0);
-}
-
-TEST(ArenaAllocatorTest, ContainersShareTheOwningArena) {
-  Arena arena(4096);
-  std::vector<int, ArenaAllocator<int>> v{ArenaAllocator<int>(arena)};
-  for (int i = 0; i < 100; ++i) v.push_back(i);
-  EXPECT_GT(arena.stats().bytes_in_use, 0u);
-  EXPECT_EQ(v[99], 99);
 }
 
 // --- sim::Task ------------------------------------------------------------

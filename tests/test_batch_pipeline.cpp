@@ -1,7 +1,7 @@
 // The batched fast path's contract: pipe coalescing preserves delivery
 // order, per-payload stats, and events_executed() accounting exactly, and
-// the switch's batch ingress emits byte-identical control frames to the
-// per-packet data-plane path (on_packet). Whole cells are pinned by the
+// the typed PACKET_INs a flood raises at switch ingress (on_packet) read
+// back as the wire frames they stand for. Whole cells are pinned by the
 // golden corpus (test_golden.cpp).
 #include <string>
 #include <vector>
@@ -81,24 +81,18 @@ TEST(PipeBatching, SerializationDelayPreventsCoalescing) {
 }
 
 // ---------------------------------------------------------------------------
-// Switch batch ingress: byte-identical control output to per-packet ingress.
+// Switch ingress: a flood's typed PACKET_INs carry their wire bytes.
 // ---------------------------------------------------------------------------
 
-swsim::PacketBatch flood_batch(std::uint16_t port, int count) {
-  swsim::PacketBatch batch;
-  batch.port = port;
-  for (int f = 0; f < count; ++f) {
-    pkt::TcpHeader tcp;
-    tcp.src_port = static_cast<std::uint16_t>(40000 + f);
-    tcp.dst_port = 80;
-    tcp.flags = pkt::kTcpSyn;
-    pkt::Packet p = pkt::make_tcp(pkt::MacAddress::from_u64(0x0aad00000000ULL + f),
-                                  pkt::MacAddress::from_u64(0x22),
-                                  pkt::Ipv4Address{static_cast<std::uint32_t>(0xc0000000u + f)},
-                                  pkt::Ipv4Address{0x0a000202}, tcp, 0, 0);
-    batch.packets.push_back(std::move(p));
-  }
-  return batch;
+pkt::Packet flood_packet(int f) {
+  pkt::TcpHeader tcp;
+  tcp.src_port = static_cast<std::uint16_t>(40000 + f);
+  tcp.dst_port = 80;
+  tcp.flags = pkt::kTcpSyn;
+  return pkt::make_tcp(pkt::MacAddress::from_u64(0x0aad00000000ULL + f),
+                       pkt::MacAddress::from_u64(0x22),
+                       pkt::Ipv4Address{static_cast<std::uint32_t>(0xc0000000u + f)},
+                       pkt::Ipv4Address{0x0a000202}, tcp, 0, 0);
 }
 
 struct WireHarness {
@@ -125,32 +119,11 @@ struct WireHarness {
   }
 };
 
-TEST(SwitchBatching, BatchIngressMatchesScalarByteForByte) {
-  WireHarness scalar;
-  swsim::PacketBatch packets = flood_batch(3, 32);
-  for (pkt::Packet& packet : packets.packets) scalar.sw->on_packet(3, std::move(packet));
-
-  WireHarness batched;
-  batched.sw->on_packet_batch(flood_batch(3, 32));
-
-  ASSERT_EQ(scalar.control_wire.size(), batched.control_wire.size());
-  for (std::size_t i = 0; i < scalar.control_wire.size(); ++i) {
-    ASSERT_EQ(scalar.control_wire[i], batched.control_wire[i]) << "frame " << i;
-    // Both paths stamp; the full codec is the reference for the bytes.
-    ASSERT_EQ(ofp::encode(ofp::decode(scalar.control_wire[i])), scalar.control_wire[i])
-        << "frame " << i;
-  }
-  EXPECT_EQ(scalar.sw->counters().packets_in, batched.sw->counters().packets_in);
-  EXPECT_EQ(scalar.sw->counters().table_misses, batched.sw->counters().table_misses);
-  EXPECT_EQ(scalar.sw->counters().packet_in_sent, batched.sw->counters().packet_in_sent);
-  EXPECT_EQ(scalar.sw->counters().control_tx, batched.sw->counters().control_tx);
-}
-
-TEST(SwitchBatching, StampedPacketInCarriesBothEnvelopeViews) {
+TEST(SwitchIngress, StampedPacketInCarriesBothEnvelopeViews) {
   WireHarness h;
-  h.sw->on_packet_batch(flood_batch(2, 4));
+  for (int f = 0; f < 4; ++f) h.sw->on_packet(2, flood_packet(f));
   ASSERT_EQ(h.control_wire.size(), 4u);
-  // Each stamped PACKET_IN must round-trip: decode(wire) == typed view.
+  // Each typed PACKET_IN must round-trip: encode(decode(wire)) == wire.
   for (const Bytes& wire : h.control_wire) {
     const ofp::Message decoded = ofp::decode(wire);
     EXPECT_EQ(decoded.type(), ofp::MsgType::PacketIn);

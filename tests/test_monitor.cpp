@@ -66,6 +66,28 @@ TEST(Monitor, EnabledReflectsCountersOnlyMode) {
   EXPECT_FALSE(mon.enabled(EventKind::RuleMatched));
 }
 
+TEST(Monitor, WantsTalliesOnlyWhatItDeclines) {
+  Monitor mon;
+  // Full mode: every kind is wanted, and wanting counts nothing (the
+  // caller's record() does).
+  EXPECT_TRUE(mon.wants(EventKind::EvalError));
+  EXPECT_TRUE(mon.wants(EventKind::MessageObserved));
+  EXPECT_EQ(mon.count(EventKind::EvalError), 0u);
+  EXPECT_EQ(mon.count(EventKind::MessageObserved), 0u);
+  mon.set_counters_only(true);
+  // Counters-only: a declined kind is tallied on the spot.
+  EXPECT_FALSE(mon.wants(EventKind::EvalError));
+  EXPECT_FALSE(mon.wants(EventKind::RuleMatched));
+  EXPECT_FALSE(mon.wants(EventKind::RuleMatched));
+  EXPECT_EQ(mon.count(EventKind::EvalError), 1u);
+  EXPECT_EQ(mon.count(EventKind::RuleMatched), 2u);
+  // MessageObserved is always wanted: its record() feeds the per-type and
+  // per-connection counters.
+  EXPECT_TRUE(mon.wants(EventKind::MessageObserved));
+  EXPECT_EQ(mon.count(EventKind::MessageObserved), 0u);
+  EXPECT_TRUE(mon.events().empty());
+}
+
 TEST(Monitor, TallyCountsWithoutEventBodies) {
   Monitor mon;
   mon.tally(EventKind::EvalError);
