@@ -26,8 +26,8 @@
 #include <vector>
 
 #include "ofp/match.hpp"
+#include "support/naive_flow_table.hpp"
 #include "swsim/flow_table.hpp"
-#include "swsim/naive_flow_table.hpp"
 
 using namespace attain;
 using namespace attain::swsim;

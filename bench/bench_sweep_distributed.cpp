@@ -47,9 +47,11 @@ std::vector<RunSpec> campaign_grid(bool quick) {
         {ControllerKind::Floodlight, ControllerKind::Pox, ControllerKind::Ryu});
     builder.topology(topo::TopologySpec::leaf_spine(2, 4, 4));
     // 1 baseline + 11 attack starts per (kind, controller, topology) slot:
-    // 3 x 3 x 2 x 12 = 216 cells.
+    // 3 x 3 x 2 x 12 = 216 cells. The starts step by 1/8 s from just after
+    // the earliest start a volumetric cell accepts (the switches are
+    // connected and settled by then).
     std::vector<SimTime> starts;
-    for (int k = 1; k <= 11; ++k) starts.push_back(kSecond / 2 + k * kSecond / 8);
+    for (int k = 1; k <= 11; ++k) starts.push_back(kEarliestVolumetricStart + k * kSecond / 8);
     builder.attack_starts(std::move(starts));
   }
   return builder.build();

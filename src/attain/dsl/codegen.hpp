@@ -16,8 +16,8 @@ namespace attain::dsl {
 /// paper's φ = (n, γ, λ, α) notation.
 std::string generate_listing(const CompiledAttack& attack, const topo::SystemModel& system);
 
-/// Renders Σ_G as Graphviz DOT (wraps lang::StateGraph::to_dot with the
-/// start/absorbing/end classification of §V-F).
+/// Renders Σ_G as Graphviz DOT, with the start/absorbing/end
+/// classification of §V-F.
 std::string generate_state_graph_dot(const CompiledAttack& attack);
 
 }  // namespace attain::dsl

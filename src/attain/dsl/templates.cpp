@@ -138,24 +138,4 @@ std::string replay_amplifier(const ConnRef& connection, const std::string& messa
   return out.str();
 }
 
-std::string packet_in_flood(const ConnRef& connection, const std::string& trigger_type,
-                            unsigned burst) {
-  std::ostringstream out;
-  const std::string on = "on (" + connection.controller + ", " + connection.sw + ")";
-  out << grant_block({connection}, "no_tls");
-  out << "attack packet_in_flood {\n"
-      << "  start state flooding {\n"
-      << "    rule amplify " << on << " {\n"
-      << "      requires { ReadMessage, PassMessage, InjectNewMessage };\n"
-      << "      when msg.type == " << trigger_type << ";\n"
-      << "      do { pass(msg); ";
-  // No loops in the DSL: the amplification factor is unrolled, exactly as
-  // replay_amplifier unrolls its replay count.
-  for (unsigned i = 0; i < burst; ++i) {
-    out << "inject(packet_in, to_controller); ";
-  }
-  out << "}\n    }\n  }\n}\n";
-  return out.str();
-}
-
 }  // namespace attain::dsl::templates

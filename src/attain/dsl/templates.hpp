@@ -58,12 +58,4 @@ std::string fuzz_type(const ConnRef& connection, const std::string& message_type
 std::string replay_amplifier(const ConnRef& connection, const std::string& message_type,
                              unsigned replay_count);
 
-/// Volumetric PACKET_IN flood: every passing message of `trigger_type` on
-/// `connection` is amplified into `burst` canned table-miss PACKET_INs
-/// injected toward the controller (the scenario-level flood's control-
-/// plane-only sibling — no data-plane frames involved). Uses the
-/// `packet_in` inject template; requires InjectNewMessage.
-std::string packet_in_flood(const ConnRef& connection, const std::string& trigger_type,
-                            unsigned burst);
-
 }  // namespace attain::dsl::templates

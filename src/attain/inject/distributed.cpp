@@ -39,12 +39,6 @@ chan::EnvelopeSink DistributedInjector::switch_side_input(ConnectionId id) {
   };
 }
 
-chan::EnvelopeSink DistributedInjector::controller_side_input(ConnectionId id) {
-  return [this, id](chan::Envelope&& envelope) {
-    on_envelope(id, chan::Direction::ControllerToSwitch, std::move(envelope));
-  };
-}
-
 void DistributedInjector::arm(const dsl::CompiledAttack& attack,
                               const model::CapabilityMap& capabilities) {
   executors_.clear();
@@ -54,13 +48,6 @@ void DistributedInjector::arm(const dsl::CompiledAttack& attack,
   }
   ATTAIN_LOG(Info, "dist-injector") << "armed '" << attack.name << "' in " << to_string(mode_)
                                     << " mode across " << shard_count_ << " shards";
-}
-
-void DistributedInjector::disarm() { executors_.clear(); }
-
-std::optional<std::string> DistributedInjector::current_state() const {
-  if (executors_.empty()) return std::nullopt;
-  return executors_.front()->current_state_name();
 }
 
 std::optional<std::string> DistributedInjector::current_state_of_shard(unsigned shard) const {

@@ -58,22 +58,20 @@ class DistributedInjector {
                          chan::EnvelopeSink to_switch);
 
   chan::EnvelopeSink switch_side_input(ConnectionId id);
-  chan::EnvelopeSink controller_side_input(ConnectionId id);
 
   /// Arms the attack: TotalOrder creates one executor (at the sequencer);
   /// LocalReplicas creates one executor per shard, each starting at
   /// σ_start with its own storage.
   void arm(const dsl::CompiledAttack& attack, const model::CapabilityMap& capabilities);
-  void disarm();
   bool armed() const { return !executors_.empty(); }
 
   unsigned shard_count() const { return shard_count_; }
   unsigned shard_of(ConnectionId id) const { return id.sw.index % shard_count_; }
   Coordination mode() const { return mode_; }
 
-  /// Current attack state: TotalOrder has one; LocalReplicas one per shard
-  /// (divergence shows up as differing names here).
-  std::optional<std::string> current_state() const;
+  /// Current attack state of a shard's executor: TotalOrder shards share
+  /// the sequencer's one; LocalReplicas keep one each (divergence shows up
+  /// as differing names here). std::nullopt before arm().
   std::optional<std::string> current_state_of_shard(unsigned shard) const;
 
   const DistributedStats& stats() const { return stats_; }

@@ -1,7 +1,6 @@
 #include "attain/lang/attack.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 namespace attain::lang {
@@ -25,24 +24,6 @@ std::set<std::string> AttackState::goto_targets() const {
     }
   }
   return targets;
-}
-
-std::string StateGraph::to_dot() const {
-  std::ostringstream out;
-  out << "digraph attack {\n";
-  for (const std::string& v : vertices) {
-    out << "  \"" << v << "\";\n";
-  }
-  for (const Edge& e : edges) {
-    out << "  \"" << e.from << "\" -> \"" << e.to << "\" [label=\"";
-    for (std::size_t i = 0; i < e.action_labels.size(); ++i) {
-      if (i > 0) out << "\\n";
-      out << e.action_labels[i];
-    }
-    out << "\"];\n";
-  }
-  out << "}\n";
-  return out.str();
 }
 
 const AttackState* Attack::find_state(const std::string& state_name) const {

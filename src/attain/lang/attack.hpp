@@ -50,9 +50,6 @@ struct StateGraph {
   };
   std::vector<std::string> vertices;
   std::vector<Edge> edges;
-
-  /// Graphviz DOT rendering (for documentation and monitors).
-  std::string to_dot() const;
 };
 
 /// A complete attack description: storage declarations Δ, states Σ, and

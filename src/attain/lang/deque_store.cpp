@@ -72,10 +72,4 @@ std::vector<std::string> DequeStore::names() const {
   return out;
 }
 
-std::optional<std::size_t> DequeStore::slot_of(const std::string& name) const {
-  const auto it = index_.find(name);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
-}
-
 }  // namespace attain::lang

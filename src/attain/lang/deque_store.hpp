@@ -57,9 +57,7 @@ class DequeStore {
 
   // Slot surface — used by compiled rule programs.
 
-  /// The declaration-order slot of a name, if declared. Slot i is the
-  /// i-th declare() call.
-  std::optional<std::size_t> slot_of(const std::string& name) const;
+  /// Slot i is the i-th declare() call.
   std::size_t slot_count() const { return deques_.size(); }
 
   /// Front/back element of slot i, or nullptr when empty. The pointer is

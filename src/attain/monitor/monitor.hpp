@@ -15,7 +15,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -91,9 +90,6 @@ class Monitor {
     return conn_counts_[{connection, direction}];
   }
 
-  /// Events matching a predicate (convenience for tests/analysis).
-  std::vector<Event> select(const std::function<bool(const Event&)>& predicate) const;
-
   /// Keep only counters, not the full event list (for long benchmark runs).
   void set_counters_only(bool counters_only) { counters_only_ = counters_only; }
 
@@ -133,13 +129,6 @@ class Monitor {
     if (type) ++type_counts_[index(*type)];
     ++connection_cell;
   }
-
-  /// Renders the log as text, one event per line.
-  std::string to_text(std::size_t max_events = 0) const;
-
-  /// Renders the log as CSV (header + one row per event) for offline
-  /// analysis — the tcpdump-equivalent artifact of the paper's monitors.
-  std::string to_csv() const;
 
  private:
   template <typename Enum>

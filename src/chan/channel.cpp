@@ -10,66 +10,13 @@ void DirectionCounters::add(const DirectionCounters& other) {
   codec_ops_saved += other.codec_ops_saved;
 }
 
-void DirectionCounters::write_json(JsonWriter& w) const {
-  w.begin_object();
-  w.field("frames", frames);
-  w.field("forwarded", forwarded);
-  w.field("suppressed", suppressed);
-  w.field("decode_errors", decode_errors);
-  w.field("codec_ops_saved", codec_ops_saved);
-  w.end_object();
-}
-
-void TraceRing::push(TraceEntry entry) {
-  ++total_;
-  if (capacity_ == 0) return;
-  if (entries_.size() < capacity_) {
-    entries_.push_back(std::move(entry));
-    return;
-  }
-  entries_[head_] = std::move(entry);
-  head_ = (head_ + 1) % capacity_;
-}
-
-std::vector<TraceEntry> TraceRing::snapshot() const {
-  std::vector<TraceEntry> out;
-  out.reserve(entries_.size());
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    out.push_back(entries_[(head_ + i) % entries_.size()]);
-  }
-  return out;
-}
-
-void TraceRing::write_json(JsonWriter& w) const {
-  w.begin_object();
-  w.field("capacity", static_cast<std::uint64_t>(capacity_));
-  w.field("dropped", dropped());
-  w.key("entries").begin_array();
-  for (const TraceEntry& entry : snapshot()) {
-    w.begin_object();
-    w.field("t_us", static_cast<std::int64_t>(entry.time));
-    w.field("dir", to_string(entry.direction));
-    if (entry.type.has_value()) {
-      w.field("type", ofp::to_string(*entry.type));
-    } else {
-      w.key("type").null();
-    }
-    w.field("xid", static_cast<std::uint64_t>(entry.xid));
-    w.field("len", static_cast<std::uint64_t>(entry.length));
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
 Channel::Channel(sim::Scheduler& sched, ChannelConfig config)
     : sched_(sched),
       config_(std::move(config)),
       switch_to_proxy_(sched, config_.segment),
       proxy_to_switch_(sched, config_.segment),
       controller_to_proxy_(sched, config_.segment),
-      proxy_to_controller_(sched, config_.segment),
-      trace_(config_.trace_capacity) {
+      proxy_to_controller_(sched, config_.segment) {
   // All four hops deliver in bursts: flood-shaped traffic — many sends
   // sharing a zero-serialize delivery instant — crosses each hop as one
   // event per burst, and a lone frame is a burst of one.
@@ -121,15 +68,6 @@ void Channel::arrive_at_proxy_batch(Direction direction, EnvelopeBatch& batch) {
         ++counters.decode_errors;
       }
     }
-    TraceEntry entry;
-    entry.time = sched_.now();
-    entry.direction = direction;
-    if (const ofp::Message* message = envelope.message()) {
-      entry.type = message->type();
-      entry.xid = message->xid;
-    }
-    entry.length = envelope.wire_size();
-    trace_.push(entry);
     if (proxy_sink_) {
       proxy_sink_(direction, std::move(envelope));
     } else {
@@ -173,25 +111,6 @@ DirectionCounters Channel::totals() const {
   DirectionCounters sum;
   for (const DirectionCounters& c : counters_) sum.add(c);
   return sum;
-}
-
-void Channel::write_json(JsonWriter& w) const {
-  w.begin_object();
-  w.field("name", config_.name);
-  w.field("tls", config_.tls);
-  w.key("switch_to_controller");
-  counters(Direction::SwitchToController).write_json(w);
-  w.key("controller_to_switch");
-  counters(Direction::ControllerToSwitch).write_json(w);
-  w.key("trace");
-  trace_.write_json(w);
-  w.end_object();
-}
-
-std::string Channel::to_json() const {
-  JsonWriter w;
-  write_json(w);
-  return w.str();
 }
 
 }  // namespace attain::chan

@@ -1,34 +1,29 @@
 // The unified control-channel pipeline. One Channel models one switch <->
 // controller control connection routed through the interposition point:
 //
-//   switch ==pipe==> [proxy point: seal, account, trace -> proxy sink] ==pipe==> controller
-//          <==pipe== [                      ...                      ] <==pipe==
+//   switch ==pipe==> [proxy point: seal, account -> proxy sink] ==pipe==> controller
+//          <==pipe== [                 ...                    ] <==pipe==
 //
 // Both directions cross the same proxy point. There the channel seals TLS
-// frames, does the codec accounting and appends a trace entry, then hands
-// the frame to one optional proxy sink (the runtime injector, §VI-B2). The
-// sink either passes the frame on through forward() — now, later, or on a
-// different channel, which is how redirected messages travel — or consumes
-// it. Without a sink the frame is forwarded unchanged. Endpoints attach as
+// frames and does the codec accounting, then hands the frame to one
+// optional proxy sink (the runtime injector, §VI-B2). The sink either
+// passes the frame on through forward() — now, later, or on a different
+// channel, which is how redirected messages travel — or consumes it.
+// Without a sink the frame is forwarded unchanged. Endpoints attach as
 // envelope sinks, so the whole path is typed: a typed frame is never
 // encoded (each hop sizes it with ofp::wire_length) and a raw-wire frame is
 // decoded at most once, instead of the encode/decode/decode round-trip the
 // previous std::function<void(Bytes)> plumbing paid per frame.
 //
-// Each channel keeps per-direction counters and a bounded trace ring that
-// sweep results can serialize; both are deterministic (virtual-time stamps
-// only).
+// Each channel keeps deterministic per-direction counters; a capture of
+// the frames themselves would hook the proxy point (set_proxy_sink).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <string>
-#include <vector>
 
 #include "chan/envelope.hpp"
-#include "common/arena.hpp"
-#include "common/json.hpp"
 #include "sim/link.hpp"
 #include "sim/scheduler.hpp"
 
@@ -46,43 +41,6 @@ struct DirectionCounters {
   std::uint64_t codec_ops_saved{0};
 
   void add(const DirectionCounters& other);
-  void write_json(JsonWriter& w) const;
-};
-
-/// One trace-ring record: a frame passing the proxy point.
-struct TraceEntry {
-  SimTime time{0};
-  Direction direction{Direction::SwitchToController};
-  std::optional<ofp::MsgType> type;  // absent for sealed/undecodable frames
-  std::uint32_t xid{0};
-  std::size_t length{0};
-};
-
-/// Bounded ring of the most recent TraceEntry records (oldest evicted).
-class TraceRing {
- public:
-  explicit TraceRing(std::size_t capacity) : capacity_(capacity) {
-    // The ring is a run-scoped buffer: grab the whole capacity up front so
-    // steady-state pushes never grow the vector.
-    entries_.reserve(capacity_);
-  }
-
-  void push(TraceEntry entry);
-
-  std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return entries_.size(); }
-  /// Entries evicted to make room (total pushed = size() + dropped()).
-  std::uint64_t dropped() const { return total_ > entries_.size() ? total_ - entries_.size() : 0; }
-  /// Oldest-first copy of the retained entries.
-  std::vector<TraceEntry> snapshot() const;
-
-  void write_json(JsonWriter& w) const;
-
- private:
-  std::size_t capacity_;
-  mem::vector<TraceEntry> entries_;  // ring storage, wraps at capacity_
-  std::size_t head_{0};              // index of the oldest entry once full
-  std::uint64_t total_{0};
 };
 
 /// A coalesced burst of envelopes sharing one delivery instant on one pipe
@@ -95,7 +53,6 @@ using EnvelopeBatch = sim::PayloadBatch<Envelope>;
 using ProxySink = std::function<void(Direction, Envelope&&)>;
 
 struct ChannelConfig {
-  std::string name{"chan"};
   /// TLS connection: frames are sealed at the proxy point (the proxy sink
   /// cannot read the payload) and unsealed at delivery.
   bool tls{false};
@@ -103,7 +60,6 @@ struct ChannelConfig {
   /// segments — two hops per direction, as in the paper's deployment where
   /// the proxy sits on a dedicated control network).
   sim::PipeConfig segment{1'000'000'000, 150 * kMicrosecond, 0};
-  std::size_t trace_capacity{64};
 };
 
 class Channel {
@@ -146,16 +102,10 @@ class Channel {
   }
   /// Both directions summed.
   DirectionCounters totals() const;
-  const TraceRing& trace() const { return trace_; }
-
-  /// Deterministic JSON: {"name", "tls", "switch_to_controller": {...},
-  /// "controller_to_switch": {...}, "trace": [...]}.
-  void write_json(JsonWriter& w) const;
-  std::string to_json() const;
 
  private:
   /// Proxy-point ingress (the only one): per envelope, TLS sealing, codec
-  /// accounting and the trace entry, then the proxy sink.
+  /// accounting, then the proxy sink.
   void arrive_at_proxy_batch(Direction direction, EnvelopeBatch& batch);
   void deliver_batch(Direction direction, EnvelopeBatch& batch);
   void deliver(Direction direction, Envelope&& envelope);
@@ -176,7 +126,6 @@ class Channel {
   EnvelopeSink controller_sink_;
 
   std::array<DirectionCounters, 2> counters_{};
-  TraceRing trace_;
 };
 
 }  // namespace attain::chan

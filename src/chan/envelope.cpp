@@ -1,6 +1,8 @@
 #include "chan/envelope.hpp"
 
+#include <algorithm>
 #include <new>
+#include <span>
 #include <utility>
 
 #include "common/arena.hpp"
@@ -104,14 +106,6 @@ ofp::Message* Envelope::mutable_message() {
   return &*message_;
 }
 
-void Envelope::set_message(ofp::Message message) {
-  message_ = std::move(message);
-  message_stale_ = false;
-  wire_stale_ = true;
-  decode_attempted_ = false;
-  if (wire_ != nullptr) wire_->decode_error.clear();
-}
-
 void Envelope::ensure_wire() const {
   if (wire_ != nullptr && !wire_stale_) return;
   if (message_.has_value() && !message_stale_) {
@@ -148,9 +142,14 @@ const std::string& Envelope::decode_error() const {
 void report_decode_failure(const Envelope& envelope, const std::string& who,
                            std::uint64_t& decode_errors, const std::string& context) {
   ++decode_errors;
+  // Only raw-wire frames fail to decode, so wire() reads bytes the
+  // envelope already holds.
   ATTAIN_LOG(Debug, who) << "undecodable control frame"
                          << (context.empty() ? "" : " from " + context) << ": "
-                         << envelope.decode_error();
+                         << envelope.decode_error() << " (header "
+                         << to_hex(std::span<const std::uint8_t>(envelope.wire())
+                                       .first(std::min(envelope.wire().size(), ofp::kHeaderSize)))
+                         << ")";
 }
 
 const ofp::Message* ingress_decode(Envelope& envelope, const std::string& who,

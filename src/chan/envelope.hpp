@@ -7,7 +7,7 @@
 // typed message pays no codec call on the happy path. Its wire_size() is
 // computed from the message (ofp::wire_length), and the bytes are encoded
 // only when something reads them: the fuzz modifier, a raw-byte read, a
-// FrameAssembler, a test.
+// test.
 //
 // Cache coherence: mutable_message() marks the wire bytes stale (they are
 // re-encoded from the mutated message on the next wire() call) and
@@ -65,8 +65,6 @@ class Envelope {
   /// Mutable decoded view for modifiers; marks the wire bytes stale so the
   /// next wire() re-encodes. Returns nullptr exactly when message() would.
   ofp::Message* mutable_message();
-  /// Replaces the payload wholesale (wire re-encodes lazily).
-  void set_message(ofp::Message message);
 
   /// The wire bytes: cached after the first call (encoded on demand from
   /// the decoded view). An empty envelope yields empty bytes.

@@ -199,12 +199,6 @@ SlabPool::Stats all_slabs_stats() {
   return sum;
 }
 
-std::size_t thread_slab_count() {
-  SlabRegistry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  return r.pools.size();
-}
-
 void run_boundary() { ++t_run_boundaries; }
 
 std::uint64_t run_boundaries() { return t_run_boundaries; }

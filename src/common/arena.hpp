@@ -165,9 +165,6 @@ inline SlabPool& thread_slab() {
 /// other threads' counters are read racily — use for reporting only).
 SlabPool::Stats all_slabs_stats();
 
-/// Number of thread slabs ever created.
-std::size_t thread_slab_count();
-
 /// Marks a run (sweep-cell) boundary on this thread: bumps the boundary
 /// counter benches key per-cell deltas from. A cell's containers return
 /// their blocks to the thread slab as they die; the slab persists by

@@ -53,7 +53,11 @@ Logger::Logger() {
   };
 }
 
-void Logger::set_sink(Sink sink) { sink_ = std::move(sink); }
+Logger::Sink Logger::set_sink(Sink sink) {
+  const std::lock_guard<std::mutex> lock(emit_mutex());
+  std::swap(sink_, sink);
+  return sink;
+}
 
 void Logger::set_clock(std::function<SimTime()> clock) { t_clock = std::move(clock); }
 

@@ -36,7 +36,9 @@ class Logger {
 
   static Logger& instance();
 
-  void set_sink(Sink sink);
+  /// Installs `sink` and returns the one it replaces, so a caller that
+  /// captures records for a while can put the previous sink back.
+  Sink set_sink(Sink sink);
   void set_level(LogLevel level) { level_ = level; }
   LogLevel level() const { return level_; }
 

@@ -29,10 +29,6 @@ void Controller::on_envelope(ConnHandle conn, chan::Envelope&& envelope) {
   backlog_.push(sched_.reserve(busy_until_), Queued{conn, std::move(envelope)});
 }
 
-void Controller::on_bytes(ConnHandle conn, const Bytes& frame) {
-  on_envelope(conn, chan::Envelope(frame));
-}
-
 void Controller::process(ConnHandle conn, chan::Envelope& envelope) {
   const ofp::Message* msg = chan::ingress_decode(envelope, name_, counters_.decode_errors,
                                                  [conn] { return "conn " + std::to_string(conn); });
@@ -92,20 +88,6 @@ void Controller::handle(ConnHandle conn, const ofp::Message& msg) {
       ATTAIN_LOG(Debug, name_) << "ignoring " << to_string(msg.type()) << " on conn " << conn;
       break;
   }
-}
-
-void Controller::poll_flow_stats(ConnHandle conn) {
-  ofp::StatsRequest req;
-  ofp::FlowStatsRequest body;
-  body.match = ofp::Match::wildcard_all();
-  req.body = body;
-  send(conn, ofp::make_message(next_xid(), std::move(req)));
-}
-
-void Controller::poll_port_stats(ConnHandle conn) {
-  ofp::StatsRequest req;
-  req.body = ofp::PortStatsRequest{static_cast<std::uint16_t>(ofp::Port::None)};
-  send(conn, ofp::make_message(next_xid(), std::move(req)));
 }
 
 void Controller::send(ConnHandle conn, ofp::Message msg) {

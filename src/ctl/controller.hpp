@@ -57,8 +57,6 @@ class Controller {
   /// at the instant its processing completes, so one scheduler event serves
   /// however many messages wait.
   void on_envelope(ConnHandle conn, chan::Envelope&& envelope);
-  /// Raw-wire convenience overload (frames one envelope).
-  void on_bytes(ConnHandle conn, const Bytes& frame);
 
   const ControllerCounters& counters() const { return counters_; }
   const std::string& name() const { return name_; }
@@ -71,11 +69,8 @@ class Controller {
     return conns_.at(conn).ports;
   }
 
-  /// Statistics collection (the paper's monitoring workflows): sends a
-  /// wildcard FLOW (or PORT) STATS_REQUEST on `conn`. The most recent
-  /// reply is retained per connection for inspection.
-  void poll_flow_stats(ConnHandle conn);
-  void poll_port_stats(ConnHandle conn);
+  /// Statistics collection (the paper's monitoring workflows): the most
+  /// recent STATS_REPLY is retained per connection for inspection.
   const std::optional<ofp::StatsReply>& last_stats_reply(ConnHandle conn) const {
     return conns_.at(conn).last_stats;
   }

@@ -492,8 +492,6 @@ CodecOpCounters& codec_ops() {
   return counters;
 }
 
-void reset_codec_ops() { codec_ops() = CodecOpCounters{}; }
-
 std::size_t wire_length(const Message& message) {
   const std::size_t length = kHeaderSize + std::visit(BodySize{}, message.body);
   if (length > 0xffff) throw std::length_error("OpenFlow message exceeds 64 KiB");
@@ -544,19 +542,6 @@ Message decode(std::span<const std::uint8_t> data) {
   m.xid = h.xid;
   m.body = decode_body(h.type, body);
   return m;
-}
-
-void FrameAssembler::feed(std::span<const std::uint8_t> data) {
-  buf_.insert(buf_.end(), data.begin(), data.end());
-}
-
-std::optional<Bytes> FrameAssembler::next_frame() {
-  if (buf_.size() < kHeaderSize) return std::nullopt;
-  const Header h = decode_header(buf_);
-  if (buf_.size() < h.length) return std::nullopt;
-  Bytes frame(buf_.begin(), buf_.begin() + h.length);
-  buf_.erase(buf_.begin(), buf_.begin() + h.length);
-  return frame;
 }
 
 }  // namespace attain::ofp

@@ -29,7 +29,6 @@ struct Header {
 using CodecOpCounters = pkt::CodecOpCounters;
 
 CodecOpCounters& codec_ops();
-void reset_codec_ops();
 
 /// Serializes a message (header + body) to wire bytes. Throws
 /// std::length_error above 64 KiB, like wire_length().
@@ -46,22 +45,5 @@ Header decode_header(std::span<const std::uint8_t> data);
 /// Decodes one complete message. Throws DecodeError on truncation, version
 /// mismatch, or malformed bodies.
 Message decode(std::span<const std::uint8_t> data);
-
-/// Stream reassembler: feed TCP-segment-like byte chunks, pop complete
-/// OpenFlow frames (length taken from each header). Used by the proxy to be
-/// robust to arbitrary chunking.
-class FrameAssembler {
- public:
-  void feed(std::span<const std::uint8_t> data);
-
-  /// Extracts the next complete frame's raw bytes, or std::nullopt if more
-  /// input is needed. Throws DecodeError on an unparseable header.
-  std::optional<Bytes> next_frame();
-
-  std::size_t buffered() const { return buf_.size(); }
-
- private:
-  Bytes buf_;
-};
 
 }  // namespace attain::ofp

@@ -14,14 +14,4 @@ void fuzz_frame(Bytes& frame, Rng& rng, const FuzzOptions& options) {
   }
 }
 
-std::optional<Message> fuzz_message(const Message& message, Rng& rng, const FuzzOptions& options) {
-  Bytes frame = encode(message);
-  fuzz_frame(frame, rng, options);
-  try {
-    return decode(frame);
-  } catch (const DecodeError&) {
-    return std::nullopt;
-  }
-}
-
 }  // namespace attain::ofp

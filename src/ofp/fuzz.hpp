@@ -22,10 +22,4 @@ struct FuzzOptions {
 /// Flips random bits of `frame` in place.
 void fuzz_frame(Bytes& frame, Rng& rng, const FuzzOptions& options = {});
 
-/// Fuzzes a typed message by encoding, flipping bits, and re-decoding.
-/// Returns std::nullopt when the mutation no longer parses (the caller then
-/// forwards the raw corrupt bytes instead — receivers must handle garbage).
-std::optional<Message> fuzz_message(const Message& message, Rng& rng,
-                                    const FuzzOptions& options = {});
-
 }  // namespace attain::ofp

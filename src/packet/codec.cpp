@@ -52,8 +52,6 @@ CodecOpCounters& codec_ops() {
   return counters;
 }
 
-void reset_codec_ops() { codec_ops() = CodecOpCounters{}; }
-
 std::size_t encoded_size(const Packet& p) {
   std::size_t size = p.eth.vlan_id != 0xffff ? 18 : 14;
   if (p.arp) return size + 28;  // encode() writes no payload after ARP

@@ -27,7 +27,6 @@ struct CodecOpCounters {
 };
 
 CodecOpCounters& codec_ops();
-void reset_codec_ops();
 
 /// Serializes a packet to wire bytes. The result's size is
 /// encoded_size(packet), which equals `packet.wire_size()` for every shape

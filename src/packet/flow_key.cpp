@@ -1,7 +1,5 @@
 #include "packet/flow_key.hpp"
 
-#include <sstream>
-
 namespace attain::pkt {
 
 namespace {
@@ -67,19 +65,6 @@ std::size_t FlowKey::hash() const {
   h = mix64(h ^ w3);
   h = mix64(h ^ nw_proto);
   return static_cast<std::size_t>(h);
-}
-
-std::string FlowKey::to_string() const {
-  std::ostringstream out;
-  out << "key{in_port=" << in_port << ",dl_src=" << MacAddress::from_u64(dl_src).to_string()
-      << ",dl_dst=" << MacAddress::from_u64(dl_dst).to_string() << ",dl_type=" << dl_type
-      << ",dl_vlan=" << dl_vlan << ",pcp=" << static_cast<unsigned>(dl_vlan_pcp)
-      << ",nw_tos=" << static_cast<unsigned>(nw_tos)
-      << ",nw_proto=" << static_cast<unsigned>(nw_proto)
-      << ",nw_src=" << Ipv4Address{nw_src}.to_string()
-      << ",nw_dst=" << Ipv4Address{nw_dst}.to_string() << ",tp_src=" << tp_src
-      << ",tp_dst=" << tp_dst << "}";
-  return out.str();
 }
 
 }  // namespace attain::pkt

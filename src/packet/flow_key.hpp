@@ -15,7 +15,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "packet/packet.hpp"
 
@@ -43,8 +42,6 @@ struct FlowKey {
   /// 64-bit word). Not cryptographic; collision quality is good enough for
   /// the flow-table hash maps.
   std::size_t hash() const;
-
-  std::string to_string() const;
 
   friend bool operator==(const FlowKey&, const FlowKey&) = default;
 };

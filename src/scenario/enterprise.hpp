@@ -7,7 +7,6 @@
 
 #include <string>
 
-#include "attain/lang/attack.hpp"
 #include "topo/system_model.hpp"
 
 namespace attain::scenario {
@@ -30,10 +29,6 @@ struct EnterpriseOptions {
 /// Host addressing: hN has IP 10.0.0.N and MAC 00:00:00:00:00:0N.
 topo::SystemModel make_enterprise_model(const EnterpriseOptions& options = {});
 
-/// The same model in DSL form (round-trips through the parser; used by the
-/// DSL tests and the quickstart example).
-std::string enterprise_model_dsl(const EnterpriseOptions& options = {});
-
 /// Fig. 10: the flow-modification suppression attack — one state, one rule
 /// per control-plane connection, dropping every controller-to-switch
 /// FLOW_MOD. Includes the attacker block granting Γ_NoTLS on all four
@@ -49,25 +44,5 @@ std::string connection_interruption_dsl();
 /// §V-G: the trivial single-state "attack" that passes all messages
 /// (normal control-plane operation, Fig. 5).
 std::string trivial_pass_all_dsl();
-
-/// The §II-A4 / Hong et al. LLDP link-fabrication attack, expressible in
-/// the ATTAIN language as the paper claims: forged LLDP PACKET_INs are
-/// injected (INJECTNEWMESSAGE) on the (c1, sw_a) and (c1, sw_b)
-/// connections, convincing a discovery-based controller (Floodlight) that
-/// a bidirectional link (sw_a:port_a) <-> (sw_b:port_b) exists. Routing
-/// then prefers the fake shortcut and forwards into an unwired port —
-/// black-hole routing. The injected frames carry crafted data-plane
-/// payloads, so this attack is built programmatically (the DSL's inject()
-/// templates cover only canned control messages); it returns the
-/// in-memory attack plus the capability map it needs.
-struct LinkFabricationAttack {
-  lang::Attack attack;
-  model::CapabilityMap capabilities;
-};
-LinkFabricationAttack make_link_fabrication_attack(const topo::SystemModel& model,
-                                                   const std::string& sw_a,
-                                                   std::uint16_t port_a,
-                                                   const std::string& sw_b,
-                                                   std::uint16_t port_b);
 
 }  // namespace attain::scenario

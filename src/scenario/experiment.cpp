@@ -117,7 +117,6 @@ void Testbed::build() {
     swsim::OpenFlowSwitch* sw = switches_[conn.id.sw.index].get();
 
     chan::ChannelConfig channel_config;
-    channel_config.name = model_.name_of(conn.id.sw) + "<->" + model_.name_of(conn.id.controller);
     channel_config.tls = conn.tls;
     channel_config.segment = options_.control_link;
     auto channel = std::make_unique<chan::Channel>(sched_, channel_config);
@@ -528,7 +527,7 @@ class VolumetricWarmup final : public WarmupPhase {
     // Timing: switches connect at t=1 s, the probe crosses the fabric from
     // t=3 s (one trial per second, sized to outlast the default-start flood
     // window plus settle time), flood per the cell's attack_start.
-    bed_->connect_switches_at(seconds(1));
+    bed_->connect_switches_at(kVolumetricConnectTime);
 
     const auto& hosts = bed_->model().hosts();
     const topo::HostSpec& src = hosts.front();
@@ -689,7 +688,9 @@ SimTime fork_time(const RunSpec& spec) {
       // before any read.
       return seconds(55);
     case ExperimentKind::Volumetric:
-      return spec.attack_enabled ? resolved_attack_start(spec) : volumetric_end(spec);
+      if (!spec.attack_enabled) return volumetric_end(spec);
+      check_attack_start(spec);
+      return resolved_attack_start(spec);
     case ExperimentKind::Custom:
       break;
   }

@@ -407,6 +407,7 @@ std::vector<RunSpec> GridBuilder::build() const {
       }
     }
   }
+  for (const RunSpec& cell : grid) check_attack_start(cell);
   return grid;
 }
 
@@ -444,6 +445,18 @@ std::vector<RunSpec> fig11_campaign_grid(std::vector<SimTime> attack_starts,
 SimTime resolved_attack_start(const RunSpec& spec) {
   if (spec.attack_start >= 0) return spec.attack_start;
   return spec.experiment == ExperimentKind::ConnectionInterruption ? seconds(10) : seconds(5);
+}
+
+void check_attack_start(const RunSpec& spec) {
+  if (spec.experiment != ExperimentKind::Volumetric || !spec.attack_enabled) return;
+  const SimTime start = resolved_attack_start(spec);
+  if (start < kEarliestVolumetricStart) {
+    throw std::invalid_argument(spec.id() + ": a volumetric flood cannot start at " +
+                                std::to_string(start / kMillisecond) +
+                                " ms, before the switches have connected and settled (" +
+                                std::to_string(kEarliestVolumetricStart / kMillisecond) +
+                                " ms)");
+  }
 }
 
 namespace {

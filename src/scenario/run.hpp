@@ -310,8 +310,22 @@ std::vector<RunSpec> fig11_campaign_grid(std::vector<SimTime> attack_starts = {}
 // ---------------------------------------------------------------------------
 
 /// The arm time `spec` resolves to: attack_start when >= 0, otherwise the
-/// experiment's script default (5 s suppression, 10 s interruption).
+/// experiment's script default (5 s suppression and volumetric, 10 s
+/// interruption).
 SimTime resolved_attack_start(const RunSpec& spec);
+
+/// Volumetric cells connect their switches at kVolumetricConnectTime. Until
+/// the controller has set a switch up, the switch forwards in standalone
+/// mode, and a flood from that window is learned and flooded around the
+/// fabric's loops instead of reaching the controller. A volumetric flood
+/// therefore starts no earlier than kVolumetricSettle after the connect.
+inline constexpr SimTime kVolumetricConnectTime = 1 * kSecond;
+inline constexpr SimTime kVolumetricSettle = 2 * kSecond;
+inline constexpr SimTime kEarliestVolumetricStart = kVolumetricConnectTime + kVolumetricSettle;
+
+/// Throws std::invalid_argument when `spec` is a volumetric attack cell
+/// whose flood would start before kEarliestVolumetricStart.
+void check_attack_start(const RunSpec& spec);
 
 /// Warm-up signature: cells with equal signatures share a byte-identical
 /// pre-fork trajectory and can run from one shared warm-up. The signature

@@ -390,16 +390,4 @@ std::vector<const FlowEntry*> FlowTable::entries() const {
   return out;
 }
 
-void FlowTable::clear() {
-  slots_.clear();
-  free_slots_.clear();
-  exact_.clear();
-  buckets_.clear();
-  bucket_of_.clear();
-  head_ = tail_ = kNil;
-  live_count_ = 0;
-  wheel_.reset(wheel_.now());  // keep the clock monotone across clear()
-  due_scratch_.clear();
-}
-
 }  // namespace attain::swsim

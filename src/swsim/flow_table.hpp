@@ -110,7 +110,6 @@ class FlowTable {
   std::vector<const FlowEntry*> entries() const;
 
   std::size_t size() const { return live_count_; }
-  void clear();
 
   /// Caps live entries (0 = unlimited, the default). An ADD of a new
   /// (match, priority) against a full table is rejected and counted;

@@ -51,10 +51,6 @@ void OpenFlowSwitch::on_control_envelope(chan::Envelope&& envelope) {
   handle_message(*msg);
 }
 
-void OpenFlowSwitch::on_control_bytes(const Bytes& frame) {
-  on_control_envelope(chan::Envelope(frame));
-}
-
 void OpenFlowSwitch::handle_message(const ofp::Message& msg) {
   using ofp::MsgType;
   switch (msg.type()) {

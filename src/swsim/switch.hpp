@@ -86,8 +86,6 @@ class OpenFlowSwitch {
   /// Delivers a control-channel envelope from the controller side. An
   /// unparseable frame draws a BadRequest error reply.
   void on_control_envelope(chan::Envelope&& envelope);
-  /// Raw-wire convenience overload (frames one envelope).
-  void on_control_bytes(const Bytes& frame);
 
   /// Delivers a data-plane frame arriving on `port`.
   void on_packet(std::uint16_t port, pkt::Packet packet);

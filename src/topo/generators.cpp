@@ -1,7 +1,5 @@
 #include "topo/generators.hpp"
 
-#include <cctype>
-#include <map>
 #include <stdexcept>
 
 namespace attain::topo {
@@ -119,122 +117,6 @@ void TopologySpec::write_json(JsonWriter& out) const {
       break;
   }
   out.end_object();
-}
-
-std::string TopologySpec::to_json() const {
-  JsonWriter out;
-  write_json(out);
-  return out.str();
-}
-
-namespace {
-
-// Scanner for the flat {"key": value, ...} objects write_json() emits.
-// Values are quoted strings (no escapes needed for our slugs) or unsigned
-// integers.
-class FlatObjectScanner {
- public:
-  explicit FlatObjectScanner(const std::string& text) : text_(text) {}
-
-  void parse() {
-    skip_ws();
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return;
-    }
-    while (true) {
-      const std::string key = string_token();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      if (peek() == '"') {
-        strings_[key] = string_token();
-      } else {
-        numbers_[key] = number_token();
-      }
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        skip_ws();
-        continue;
-      }
-      expect('}');
-      return;
-    }
-  }
-
-  std::string string_field(const std::string& key) const {
-    const auto it = strings_.find(key);
-    if (it == strings_.end()) fail("missing string field \"" + key + "\"");
-    return it->second;
-  }
-
-  std::uint64_t number_field(const std::string& key) const {
-    const auto it = numbers_.find(key);
-    if (it == numbers_.end()) fail("missing numeric field \"" + key + "\"");
-    return it->second;
-  }
-
- private:
-  char peek() const {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-  }
-  std::string string_token() {
-    expect('"');
-    std::string out;
-    while (peek() != '"') out.push_back(text_[pos_++]);
-    ++pos_;
-    return out;
-  }
-  std::uint64_t number_token() {
-    if (!std::isdigit(static_cast<unsigned char>(peek()))) fail("expected a number");
-    std::uint64_t v = 0;
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      v = v * 10 + static_cast<std::uint64_t>(text_[pos_++] - '0');
-    }
-    return v;
-  }
-  [[noreturn]] static void fail(const std::string& what) {
-    throw std::invalid_argument("TopologySpec JSON: " + what);
-  }
-
-  const std::string& text_;
-  std::size_t pos_{0};
-  std::map<std::string, std::string> strings_;
-  std::map<std::string, std::uint64_t> numbers_;
-};
-
-std::uint32_t narrow_u32(std::uint64_t v, const char* what) {
-  if (v > 0xffffffffull) {
-    throw std::invalid_argument(std::string("TopologySpec JSON: ") + what + " out of range");
-  }
-  return static_cast<std::uint32_t>(v);
-}
-
-}  // namespace
-
-TopologySpec TopologySpec::from_json(const std::string& text) {
-  FlatObjectScanner scan(text);
-  scan.parse();
-  const std::string kind = scan.string_field("kind");
-  if (kind == "enterprise") return enterprise();
-  if (kind == "fat-tree") return fat_tree(narrow_u32(scan.number_field("k"), "k"));
-  if (kind == "leaf-spine") {
-    return leaf_spine(narrow_u32(scan.number_field("spines"), "spines"),
-                      narrow_u32(scan.number_field("leaves"), "leaves"),
-                      narrow_u32(scan.number_field("hosts_per_leaf"), "hosts_per_leaf"));
-  }
-  throw std::invalid_argument("TopologySpec JSON: unknown kind \"" + kind + "\"");
 }
 
 namespace {

@@ -55,10 +55,6 @@ struct TopologySpec {
   void check() const;
 
   void write_json(JsonWriter& out) const;
-  std::string to_json() const;
-  /// Parses the write_json() form; throws std::invalid_argument on
-  /// malformed input. Only the fields relevant to `kind` are read.
-  static TopologySpec from_json(const std::string& text);
 
   friend bool operator==(const TopologySpec&, const TopologySpec&) = default;
 };

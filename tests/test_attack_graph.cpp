@@ -137,13 +137,6 @@ TEST(Attack, SelfLoopGotoIsNotAnEdge) {
   EXPECT_EQ(attack.absorbing_states(), std::vector<std::string>{"sigma3"});
 }
 
-TEST(Attack, DotRenderingContainsStatesAndTransitions) {
-  const std::string dot = three_state_attack().graph().to_dot();
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("\"sigma1\" -> \"sigma2\""), std::string::npos);
-  EXPECT_NE(dot.find("\"sigma2\" -> \"sigma3\""), std::string::npos);
-}
-
 TEST(Attack, RequiredCapabilitiesUnionDeclaredAndDerived) {
   Rule rule = make_rule("phi", {ActDrop{}});
   rule.conditional = Expr::binary(BinaryOp::Eq, Expr::prop(Property::Type),

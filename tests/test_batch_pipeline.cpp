@@ -112,8 +112,9 @@ struct WireHarness {
       control_wire.push_back(e.wire());
     });
     sw->connect();
-    sw->on_control_bytes(ofp::encode(ofp::make_message(1, ofp::Hello{})));
-    sw->on_control_bytes(ofp::encode(ofp::make_message(2, ofp::FeaturesRequest{})));
+    sw->on_control_envelope(chan::Envelope(ofp::encode(ofp::make_message(1, ofp::Hello{}))));
+    sw->on_control_envelope(
+        chan::Envelope(ofp::encode(ofp::make_message(2, ofp::FeaturesRequest{}))));
     EXPECT_EQ(sw->channel_state(), swsim::ChannelState::Connected);
     control_wire.clear();
   }

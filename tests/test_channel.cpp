@@ -295,7 +295,7 @@ TEST(IngressDecode, SwitchStillAnswersGarbageWithBadRequest) {
 }
 
 // ---------------------------------------------------------------------------
-// Channel: transparency, the proxy sink, counters, trace.
+// Channel: transparency, the proxy sink, counters.
 // ---------------------------------------------------------------------------
 
 TEST(Channel, StagelessChannelIsTransparentBothWays) {
@@ -389,38 +389,6 @@ TEST(Channel, UndecodableFrameCountsAndPassesThrough) {
   EXPECT_EQ(channel.counters(Direction::SwitchToController).decode_errors, 1u);
 }
 
-TEST(TraceRing, WrapsAndReportsDropped) {
-  TraceRing ring(2);
-  for (std::uint32_t i = 1; i <= 3; ++i) {
-    TraceEntry entry;
-    entry.xid = i;
-    ring.push(entry);
-  }
-  EXPECT_EQ(ring.size(), 2u);
-  EXPECT_EQ(ring.dropped(), 1u);
-  const auto entries = ring.snapshot();
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].xid, 2u);  // oldest retained first
-  EXPECT_EQ(entries[1].xid, 3u);
-}
-
-TEST(Channel, JsonSerializesCountersAndTrace) {
-  sim::Scheduler sched;
-  ChannelConfig config;
-  config.name = "s1<->c1";
-  Channel channel(sched, config);
-  channel.set_controller_sink([](Envelope) {});
-  channel.send_from_switch(Envelope(ofp::make_message(7, ofp::Hello{})));
-  sched.run_until(kSecond);
-
-  const std::string json = channel.to_json();
-  EXPECT_NE(json.find("\"name\":\"s1<->c1\""), std::string::npos);
-  EXPECT_NE(json.find("\"switch_to_controller\""), std::string::npos);
-  EXPECT_NE(json.find("\"codec_ops_saved\""), std::string::npos);
-  EXPECT_NE(json.find("\"type\":\"HELLO\""), std::string::npos);
-  EXPECT_EQ(json, channel.to_json());  // deterministic bytes
-}
-
 // ---------------------------------------------------------------------------
 // End-to-end codec savings on the Table II enterprise scenario: on every
 // cell of table2_grid() the decode-once path must cut encode+decode
@@ -430,7 +398,7 @@ TEST(Channel, JsonSerializesCountersAndTrace) {
 
 TEST(Channel, DecodeOnceSavesAtLeast40PercentOnTable2Cell) {
   for (const scenario::RunSpec& spec : scenario::table2_grid()) {
-    ofp::reset_codec_ops();
+    ofp::codec_ops() = {};
     const scenario::RunResultPtr result = scenario::run(spec);
     const std::uint64_t actual = ofp::codec_ops().total();
 
@@ -458,8 +426,8 @@ TEST(Channel, Table2AndFig11CellsNeverEncode) {
   std::vector<scenario::RunSpec> grid = scenario::table2_grid();
   for (scenario::RunSpec& spec : scenario::fig11_grid()) grid.push_back(std::move(spec));
   for (const scenario::RunSpec& spec : grid) {
-    ofp::reset_codec_ops();
-    pkt::reset_codec_ops();
+    ofp::codec_ops() = {};
+    pkt::codec_ops() = {};
     const scenario::RunResultPtr result = scenario::run(spec);
     ASSERT_GT(result->messages_interposed, 0u) << spec.id();
     EXPECT_EQ(ofp::codec_ops().encodes, 0u) << spec.id();

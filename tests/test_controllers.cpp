@@ -23,10 +23,11 @@ struct FakeSwitch {
     });
     // Handshake: switch HELLO, controller replies HELLO + FEATURES_REQUEST,
     // switch answers FEATURES_REPLY.
-    controller.on_bytes(conn, ofp::encode(ofp::make_message(1, ofp::Hello{})));
+    controller.on_envelope(conn, chan::Envelope(ofp::encode(ofp::make_message(1, ofp::Hello{}))));
     ofp::FeaturesReply features;
     features.datapath_id = dpid;
-    controller.on_bytes(conn, ofp::encode(ofp::make_message(2, std::move(features))));
+    controller.on_envelope(
+        conn, chan::Envelope(ofp::encode(ofp::make_message(2, std::move(features)))));
     received.clear();
   }
 
@@ -37,7 +38,7 @@ struct FakeSwitch {
     pin.in_port = in_port;
     pin.data = pkt::encode(packet);
     pin.total_len = static_cast<std::uint16_t>(pin.data.size());
-    controller.on_bytes(conn, ofp::encode(ofp::make_message(5, std::move(pin))));
+    controller.on_envelope(conn, chan::Envelope(ofp::encode(ofp::make_message(5, std::move(pin)))));
   }
 
   std::vector<ofp::Message> take() {
@@ -66,14 +67,14 @@ TEST(Pox, HandshakeRepliesHelloFeaturesSetConfig) {
       ASSERT_NE(e.message(), nullptr);
       sw.received.push_back(*e.message());
     });
-  pox.on_bytes(sw.conn, ofp::encode(ofp::make_message(1, ofp::Hello{})));
+  pox.on_envelope(sw.conn, chan::Envelope(ofp::encode(ofp::make_message(1, ofp::Hello{}))));
   auto out = sw.take();
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].type(), ofp::MsgType::Hello);
   EXPECT_EQ(out[1].type(), ofp::MsgType::FeaturesRequest);
   ofp::FeaturesReply features;
   features.datapath_id = 0x42;
-  pox.on_bytes(sw.conn, ofp::encode(ofp::make_message(2, std::move(features))));
+  pox.on_envelope(sw.conn, chan::Envelope(ofp::encode(ofp::make_message(2, std::move(features)))));
   out = sw.take();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].type(), ofp::MsgType::SetConfig);
@@ -271,7 +272,7 @@ TEST(Floodlight, LldpProbesSentOnEveryPort) {
   unsigned lldp_outs = 0;
   // attach() clears received, but probes were sent during the handshake;
   // re-handshake to capture them.
-  fl.on_bytes(sw.conn, ofp::encode(ofp::make_message(1, ofp::Hello{})));
+  fl.on_envelope(sw.conn, chan::Envelope(ofp::encode(ofp::make_message(1, ofp::Hello{}))));
   ofp::FeaturesReply features;
   features.datapath_id = 7;
   for (std::uint16_t p = 1; p <= 4; ++p) {
@@ -279,7 +280,7 @@ TEST(Floodlight, LldpProbesSentOnEveryPort) {
     port.port_no = p;
     features.ports.push_back(port);
   }
-  fl.on_bytes(sw.conn, ofp::encode(ofp::make_message(2, std::move(features))));
+  fl.on_envelope(sw.conn, chan::Envelope(ofp::encode(ofp::make_message(2, std::move(features)))));
   for (const ofp::Message& m : sw.take()) {
     if (m.type() != ofp::MsgType::PacketOut) continue;
     const auto& out = m.as<ofp::PacketOut>();
@@ -427,7 +428,7 @@ TEST(Floodlight, PortDownReroutesInsteadOfReusingMemoizedRoute) {
   down.reason = ofp::PortReason::Modify;
   down.desc.state = 1;
   down.desc.port_no = 3;
-  fl.on_bytes(s1.conn, ofp::encode(ofp::make_message(9, down)));
+  fl.on_envelope(s1.conn, chan::Envelope(ofp::encode(ofp::make_message(9, down))));
 
   // Surviving path: s1 out 2, s2 in 1 out 2, s3 in 2 out 3.
   s1.packet_in(fl, icmp(0xa, 0xb), 1, 72);
@@ -447,7 +448,7 @@ TEST(Floodlight, PortDownReroutesInsteadOfReusingMemoizedRoute) {
 
   // No path left: flood at the PACKET_IN switch, install nothing.
   down.desc.port_no = 2;
-  fl.on_bytes(s1.conn, ofp::encode(ofp::make_message(10, down)));
+  fl.on_envelope(s1.conn, chan::Envelope(ofp::encode(ofp::make_message(10, down))));
   s1.packet_in(fl, icmp(0xa, 0xb), 1, 73);
   at_s1 = s1.take();
   ASSERT_EQ(at_s1.size(), 1u);
@@ -460,7 +461,8 @@ TEST(Floodlight, PortDownReroutesInsteadOfReusingMemoizedRoute) {
 TEST(Floodlight, EchoRequestAnswered) {
   FloodlightHarness h;
   auto& sw = h.switches["s1"];
-  h.fl.on_bytes(sw.conn, ofp::encode(ofp::make_message(88, ofp::EchoRequest{{5}})));
+  h.fl.on_envelope(sw.conn,
+                   chan::Envelope(ofp::encode(ofp::make_message(88, ofp::EchoRequest{{5}}))));
   const auto out = sw.take();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].type(), ofp::MsgType::EchoReply);
@@ -473,15 +475,15 @@ TEST(Controller, ProcessingDelaySerializesWork) {
   PoxL2Learning pox(sched, kMillisecond);
   std::vector<SimTime> reply_times;
   const ConnHandle conn = pox.add_connection([&](chan::Envelope) { reply_times.push_back(sched.now()); });
-  pox.on_bytes(conn, ofp::encode(ofp::make_message(1, ofp::Hello{})));
+  pox.on_envelope(conn, chan::Envelope(ofp::encode(ofp::make_message(1, ofp::Hello{}))));
   sched.run();
   // HELLO processing produced two sends (HELLO + FEATURES_REQUEST) at 1 ms.
   ASSERT_GE(reply_times.size(), 2u);
   EXPECT_EQ(reply_times[0], kMillisecond);
 
   reply_times.clear();
-  pox.on_bytes(conn, ofp::encode(ofp::make_message(2, ofp::EchoRequest{})));
-  pox.on_bytes(conn, ofp::encode(ofp::make_message(3, ofp::EchoRequest{})));
+  pox.on_envelope(conn, chan::Envelope(ofp::encode(ofp::make_message(2, ofp::EchoRequest{}))));
+  pox.on_envelope(conn, chan::Envelope(ofp::encode(ofp::make_message(3, ofp::EchoRequest{}))));
   sched.run();
   ASSERT_EQ(reply_times.size(), 2u);
   EXPECT_EQ(reply_times[1] - reply_times[0], kMillisecond);
@@ -545,7 +547,7 @@ TEST(Controller, MalformedFrameCountedNotFatal) {
   FakeSwitch sw;
   sw.attach(ryu, 1);
   Bytes garbage{0xff, 0xff, 0xff};
-  ryu.on_bytes(sw.conn, garbage);
+  ryu.on_envelope(sw.conn, chan::Envelope(garbage));
   EXPECT_EQ(ryu.counters().decode_errors, 1u);
   // Still functional afterwards.
   sw.packet_in(ryu, icmp(0xa, 0xb), 1);

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "support/naive_flow_table.hpp"
 #include "swsim/flow_table.hpp"
-#include "swsim/naive_flow_table.hpp"
 
 namespace attain::swsim {
 namespace {

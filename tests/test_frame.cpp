@@ -170,7 +170,7 @@ TEST(Frame, ViewMatchesCodec) {
                                 ": " + describe(p);
 
       const Frame frame(p, cap);
-      reset_codec_ops();
+      codec_ops() = {};
       ASSERT_EQ(frame.size(), size) << where;
       ASSERT_EQ(codec_ops().encodes, 0u) << "size() must not encode: " << where;
       const std::optional<Packet> view = frame.packet();
@@ -204,7 +204,7 @@ TEST(Frame, TypedFrameEncodesOnlyWhenBytesAreRead) {
   const Packet p = make_tcp(MacAddress::from_u64(1), MacAddress::from_u64(2), Ipv4Address{1},
                             Ipv4Address{2}, tcp, 1460, 0x1122334455667788ULL);
   const Frame frame(p, 128);
-  reset_codec_ops();
+  codec_ops() = {};
   EXPECT_EQ(frame.size(), 128u);
   const std::optional<Packet> view = frame.packet();
   ASSERT_TRUE(view.has_value());
@@ -220,7 +220,7 @@ TEST(Frame, TypedFrameEncodesOnlyWhenBytesAreRead) {
 TEST(Frame, BytesOriginDecodesOnDemand) {
   const Packet p = make_lldp(MacAddress::from_u64(9), 1, 3);
   const Frame frame(encode(p));
-  reset_codec_ops();
+  codec_ops() = {};
   ASSERT_TRUE(frame.packet().has_value());
   EXPECT_EQ(codec_ops().decodes, 1u);
   EXPECT_FALSE(Frame{}.packet().has_value());

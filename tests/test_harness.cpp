@@ -11,6 +11,20 @@
 namespace attain::scenario {
 namespace {
 
+// Sends a STATS_REQUEST down control connection `conn` from the controller
+// end of its channel, the way the controller's own sends travel.
+void request_stats(Testbed& bed, std::size_t conn, ofp::StatsRequest request) {
+  const auto xid = static_cast<std::uint32_t>(0x5000 + conn);
+  bed.channels().at(conn)->send_from_controller(
+      chan::Envelope(ofp::make_message(xid, std::move(request))));
+}
+
+void request_flow_stats(Testbed& bed, std::size_t conn) {
+  ofp::FlowStatsRequest body;
+  body.match = ofp::Match::wildcard_all();
+  request_stats(bed, conn, ofp::StatsRequest{0, body});
+}
+
 TEST(Harness, LookupsValidateKinds) {
   Testbed bed(make_enterprise_model());
   EXPECT_NO_THROW(bed.host("h3"));
@@ -67,7 +81,7 @@ TEST(StatsPath, FlowStatsPollingWorksEndToEnd) {
   // Poll flow stats on every connection after traffic has installed flows.
   bed.scheduler().at(seconds(10), [&] {
     for (std::size_t conn = 0; conn < bed.controller().connection_count(); ++conn) {
-      bed.controller().poll_flow_stats(conn);
+      request_flow_stats(bed, conn);
     }
   });
   bed.run_until(seconds(12));
@@ -96,7 +110,7 @@ TEST(StatsPath, StatsBlindingAttackHidesReplies) {
   bed.connect_switches_at(seconds(1));
   bed.scheduler().at(seconds(5), [&] {
     for (std::size_t conn = 0; conn < bed.controller().connection_count(); ++conn) {
-      bed.controller().poll_flow_stats(conn);
+      request_flow_stats(bed, conn);
     }
   });
   bed.run_until(seconds(8));
@@ -109,7 +123,11 @@ TEST(StatsPath, PortStatsPolling) {
   options.controller = ControllerKind::Pox;
   Testbed bed(make_enterprise_model(), options);
   bed.connect_switches_at(seconds(1));
-  bed.scheduler().at(seconds(3), [&] { bed.controller().poll_port_stats(0); });
+  bed.scheduler().at(seconds(3), [&] {
+    request_stats(bed, 0,
+                  ofp::StatsRequest{0, ofp::PortStatsRequest{
+                                           static_cast<std::uint16_t>(ofp::Port::None)}});
+  });
   bed.run_until(seconds(5));
   const auto& reply = bed.controller().last_stats_reply(0);
   ASSERT_TRUE(reply.has_value());

@@ -13,6 +13,8 @@
 #include "common/alloc_hook.hpp"
 #include "common/arena.hpp"
 #include "scenario/enterprise.hpp"
+#include "support/attack_templates.hpp"
+#include "support/enterprise_fixtures.hpp"
 
 namespace attain::inject {
 namespace {

@@ -7,6 +7,7 @@
 #include "attain/dsl/templates.hpp"
 #include "ctl/floodlight.hpp"
 #include "scenario/experiment.hpp"
+#include "support/enterprise_fixtures.hpp"
 
 namespace attain::scenario {
 namespace {

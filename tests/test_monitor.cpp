@@ -97,19 +97,6 @@ TEST(Monitor, TallyCountsWithoutEventBodies) {
   EXPECT_TRUE(mon.events().empty());
 }
 
-TEST(Monitor, SelectFiltersEvents) {
-  Monitor mon;
-  Event rule_hit;
-  rule_hit.kind = EventKind::RuleMatched;
-  rule_hit.rule = "phi1";
-  mon.record(rule_hit);
-  rule_hit.rule = "phi2";
-  mon.record(rule_hit);
-  const auto phi2 = mon.select([](const Event& e) { return e.rule == "phi2"; });
-  ASSERT_EQ(phi2.size(), 1u);
-  EXPECT_EQ(phi2[0].rule, "phi2");
-}
-
 TEST(Monitor, ClearResetsEverything) {
   Monitor mon;
   mon.record(observed(ofp::MsgType::FlowMod, conn(0), lang::Direction::ControllerToSwitch));
@@ -145,46 +132,6 @@ TEST(Monitor, ClearKeepsCachedCellsValid) {
   EXPECT_EQ(mon.observed_on(conn(0), lang::Direction::SwitchToController), 0u);
   EXPECT_EQ(mon.observed_of_type(ofp::MsgType::PacketIn), 2u);
   EXPECT_EQ(mon.count(EventKind::MessageObserved), 2u);
-}
-
-TEST(Monitor, CsvExportEscapesAndEnumerates) {
-  Monitor mon;
-  Event e = observed(ofp::MsgType::FlowMod, conn(2), lang::Direction::ControllerToSwitch);
-  e.message_id = 7;
-  e.length = 80;
-  mon.record(e);
-  Event drop;
-  drop.kind = EventKind::MessageDropped;
-  drop.rule = "phi1";
-  drop.state = "sigma1";
-  drop.detail = "with \"quotes\", and commas";
-  mon.record(drop);
-  const std::string csv = mon.to_csv();
-  // Header + two rows.
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
-  EXPECT_NE(csv.find("time_s,kind,"), std::string::npos);
-  EXPECT_NE(csv.find("observed"), std::string::npos);
-  EXPECT_NE(csv.find("FLOW_MOD"), std::string::npos);
-  EXPECT_NE(csv.find("phi1"), std::string::npos);
-  // Quotes doubled, detail quoted (comma-safe).
-  EXPECT_NE(csv.find("\"with \"\"quotes\"\", and commas\""), std::string::npos);
-}
-
-TEST(Monitor, TextRenderingAndTruncation) {
-  Monitor mon;
-  for (int i = 0; i < 5; ++i) {
-    Event e;
-    e.kind = EventKind::StateTransition;
-    e.state = "sigma1";
-    e.detail = "-> sigma2";
-    e.time = i * kSecond;
-    mon.record(e);
-  }
-  const std::string full = mon.to_text();
-  EXPECT_NE(full.find("state-transition"), std::string::npos);
-  EXPECT_NE(full.find("sigma1"), std::string::npos);
-  const std::string truncated = mon.to_text(2);
-  EXPECT_NE(truncated.find("3 more"), std::string::npos);
 }
 
 }  // namespace

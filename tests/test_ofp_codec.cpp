@@ -4,6 +4,7 @@
 
 #include "ofp/fuzz.hpp"
 #include "packet/codec.hpp"
+#include "support/frame_assembler.hpp"
 
 namespace attain::ofp {
 namespace {

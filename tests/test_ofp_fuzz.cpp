@@ -69,23 +69,6 @@ TEST(Fuzz, HeaderMutationAllowedWhenRequested) {
   EXPECT_TRUE(header_changed);
 }
 
-TEST(Fuzz, FuzzMessageEitherDecodesOrReturnsNullopt) {
-  Rng rng(3);
-  int decoded = 0;
-  int garbage = 0;
-  for (int i = 0; i < 200; ++i) {
-    const auto result = fuzz_message(sample(), rng);
-    if (result) {
-      ++decoded;
-      // Whatever came back must re-encode without crashing.
-      EXPECT_NO_THROW(encode(*result));
-    } else {
-      ++garbage;
-    }
-  }
-  EXPECT_GT(decoded, 0);  // most FLOW_MOD mutations still parse
-}
-
 /// Property: the decoder must never crash (only throw DecodeError) on any
 /// random mutation of any representative frame — the switch and controller
 /// rely on this when the injector fuzzes payloads.

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "scenario/enterprise.hpp"
+#include "support/enterprise_fixtures.hpp"
 
 namespace attain::dsl {
 namespace {

@@ -29,8 +29,8 @@ TEST(SwitchPortStatus, DownPortSuppressesEgressAndNotifies) {
     });
   sw.set_packet_sender([&](std::uint16_t port, pkt::Packet p) { data.emplace_back(port, p); });
   sw.connect();
-  sw.on_control_bytes(ofp::encode(ofp::make_message(1, ofp::Hello{})));
-  sw.on_control_bytes(ofp::encode(ofp::make_message(2, ofp::FeaturesRequest{})));
+  sw.on_control_envelope(chan::Envelope(ofp::encode(ofp::make_message(1, ofp::Hello{}))));
+  sw.on_control_envelope(chan::Envelope(ofp::encode(ofp::make_message(2, ofp::FeaturesRequest{}))));
   control.clear();
 
   EXPECT_TRUE(sw.port_up(3));
@@ -53,14 +53,14 @@ TEST(SwitchPortStatus, DownPortSuppressesEgressAndNotifies) {
   out.actions = ofp::output_to(std::uint16_t{3});
   out.data = pkt::encode(pkt::make_arp_request(pkt::MacAddress::from_u64(1),
                                                pkt::Ipv4Address{1}, pkt::Ipv4Address{2}));
-  sw.on_control_bytes(ofp::encode(ofp::make_message(3, out)));
+  sw.on_control_envelope(chan::Envelope(ofp::encode(ofp::make_message(3, out))));
   EXPECT_TRUE(data.empty());
   ofp::PacketOut flood;
   flood.buffer_id = ofp::kNoBuffer;
   flood.in_port = 1;
   flood.actions = ofp::output_to(ofp::Port::Flood);
   flood.data = out.data;
-  sw.on_control_bytes(ofp::encode(ofp::make_message(4, flood)));
+  sw.on_control_envelope(chan::Envelope(ofp::encode(ofp::make_message(4, flood))));
   EXPECT_EQ(data.size(), 2u);  // ports 2 and 4 only
 
   // Raising the port notifies and restores egress.
@@ -69,7 +69,7 @@ TEST(SwitchPortStatus, DownPortSuppressesEgressAndNotifies) {
   sw.set_port_up(3, true);
   ASSERT_EQ(control.size(), 1u);
   EXPECT_EQ(control[0].as<ofp::PortStatus>().desc.state & 0x1, 0u);
-  sw.on_control_bytes(ofp::encode(ofp::make_message(5, out)));
+  sw.on_control_envelope(chan::Envelope(ofp::encode(ofp::make_message(5, out))));
   EXPECT_EQ(data.size(), 1u);
 }
 
@@ -82,10 +82,10 @@ TEST(FloodlightPortStatus, DownPortPurgesLinksAndDevices) {
       ASSERT_NE(e.message(), nullptr);
       received.push_back(*e.message());
     });
-  fl.on_bytes(conn, ofp::encode(ofp::make_message(1, ofp::Hello{})));
+  fl.on_envelope(conn, chan::Envelope(ofp::encode(ofp::make_message(1, ofp::Hello{}))));
   ofp::FeaturesReply features;
   features.datapath_id = 1;
-  fl.on_bytes(conn, ofp::encode(ofp::make_message(2, std::move(features))));
+  fl.on_envelope(conn, chan::Envelope(ofp::encode(ofp::make_message(2, std::move(features)))));
 
   // Teach it one link (1:3 -> 1:4 loopback-ish is fine for the purge test)
   // and one device on port 2.
@@ -93,13 +93,13 @@ TEST(FloodlightPortStatus, DownPortPurgesLinksAndDevices) {
   lldp.in_port = 4;
   lldp.data = pkt::encode(pkt::make_lldp(pkt::MacAddress::from_u64(9), 1, 3));
   lldp.total_len = static_cast<std::uint16_t>(lldp.data.size());
-  fl.on_bytes(conn, ofp::encode(ofp::make_message(3, std::move(lldp))));
+  fl.on_envelope(conn, chan::Envelope(ofp::encode(ofp::make_message(3, std::move(lldp)))));
   ofp::PacketIn host;
   host.in_port = 2;
   host.data = pkt::encode(pkt::make_arp_request(pkt::MacAddress::from_u64(0xaa),
                                                 pkt::Ipv4Address{1}, pkt::Ipv4Address{2}));
   host.total_len = static_cast<std::uint16_t>(host.data.size());
-  fl.on_bytes(conn, ofp::encode(ofp::make_message(4, std::move(host))));
+  fl.on_envelope(conn, chan::Envelope(ofp::encode(ofp::make_message(4, std::move(host)))));
   ASSERT_EQ(fl.links().size(), 1u);
   ASSERT_EQ(fl.device_count(), 1u);
 
@@ -108,13 +108,13 @@ TEST(FloodlightPortStatus, DownPortPurgesLinksAndDevices) {
   down.reason = ofp::PortReason::Modify;
   down.desc.port_no = 2;
   down.desc.state = 1;
-  fl.on_bytes(conn, ofp::encode(ofp::make_message(5, down)));
+  fl.on_envelope(conn, chan::Envelope(ofp::encode(ofp::make_message(5, down))));
   EXPECT_EQ(fl.device_count(), 0u);
   EXPECT_EQ(fl.links().size(), 1u);
 
   // Port 4 down: the link goes too (it terminates there).
   down.desc.port_no = 4;
-  fl.on_bytes(conn, ofp::encode(ofp::make_message(6, down)));
+  fl.on_envelope(conn, chan::Envelope(ofp::encode(ofp::make_message(6, down))));
   EXPECT_EQ(fl.links().size(), 0u);
 }
 

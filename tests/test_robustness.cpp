@@ -183,8 +183,8 @@ TEST(SwitchRobustness, BufferExhaustionFallsBackToUnbuffered) {
     });
   sw.set_packet_sender([](std::uint16_t, pkt::Packet) {});
   sw.connect();
-  sw.on_control_bytes(ofp::encode(ofp::make_message(1, ofp::Hello{})));
-  sw.on_control_bytes(ofp::encode(ofp::make_message(2, ofp::FeaturesRequest{})));
+  sw.on_control_envelope(chan::Envelope(ofp::encode(ofp::make_message(1, ofp::Hello{}))));
+  sw.on_control_envelope(chan::Envelope(ofp::encode(ofp::make_message(2, ofp::FeaturesRequest{}))));
   control.clear();
 
   for (int i = 0; i < 8; ++i) {

@@ -30,7 +30,7 @@ struct Harness {
         [this](std::uint16_t port, pkt::Packet p) { data_out.emplace_back(port, std::move(p)); });
   }
 
-  void send(const ofp::Message& msg) { sw->on_control_bytes(ofp::encode(msg)); }
+  void send(const ofp::Message& msg) { sw->on_control_envelope(chan::Envelope(ofp::encode(msg))); }
 
   /// Performs the controller's side of the handshake.
   void handshake() {
@@ -389,7 +389,7 @@ TEST(Switch, MalformedControlFrameAnsweredWithError) {
   h.handshake();
   Bytes garbage = ofp::encode(ofp::make_message(1, ofp::BarrierRequest{}));
   garbage[0] = 0x09;  // wrong version
-  h.sw->on_control_bytes(garbage);
+  h.sw->on_control_envelope(chan::Envelope(garbage));
   const auto out = h.take_control();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].type(), ofp::MsgType::Error);

@@ -73,7 +73,8 @@ TEST(TestbedBuild, UnwiredPortsDeliverNothing) {
         static_cast<std::uint16_t>(ofp::Port::Flood), std::uint16_t{2}}) {
     out.actions.push_back(ofp::ActionOutput{port});
   }
-  bed.switch_named("s1").on_control_bytes(ofp::encode(ofp::make_message(1, std::move(out))));
+  bed.switch_named("s1").on_control_envelope(
+      chan::Envelope(ofp::encode(ofp::make_message(1, std::move(out)))));
   bed.run_until(kSecond);
 
   // Port 0 never reaches the sender; the four unwired-port copies do and

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.hpp"
+#include "common/log.hpp"
 #include "scenario/experiment.hpp"
 #include "sweep/sweep.hpp"
 #include "topo/generators.hpp"
@@ -67,6 +68,45 @@ TEST(VolumetricSweep, FatTreeFloodIsThreadCountInvariant) {
   EXPECT_EQ(serial, run_with(4, false));
   EXPECT_EQ(serial, run_with(1, true));
   EXPECT_EQ(serial, run_with(4, true));
+}
+
+// ---------------------------------------------------------------------------
+// No flood before the network exists: volumetric cells connect their
+// switches at t = 1 s, and a flood that starts while they still forward
+// standalone is learned and flooded around the fat-tree's loops (a scratch
+// run of this cell shape at 0.75 s and 1 s counted 16-20 M table misses,
+// and all 20 switches lost their controller).
+// ---------------------------------------------------------------------------
+
+TEST(Volumetric, FloodStartsBeforeTheSwitchesSettleAreRejected) {
+  GridBuilder builder;
+  builder.volumetric(VolumetricKind::PacketInFlood)
+      .controllers({ControllerKind::Pox})
+      .topology(topo::TopologySpec::fat_tree(4))
+      .attack_starts({scenario::kEarliestVolumetricStart - kMillisecond});
+  EXPECT_THROW(builder.build(), std::invalid_argument);
+  builder.attack_starts({scenario::kEarliestVolumetricStart});
+  EXPECT_EQ(builder.build().size(), 2u);  // baseline + the earliest start
+
+  RunSpec early = quick_flood(VolumetricKind::PacketInFlood, true);
+  early.attack_start = kSecond;
+  EXPECT_THROW(scenario::run(early), std::invalid_argument);
+}
+
+TEST(Volumetric, FloodAtTheEarliestStartLeavesEverySwitchConnected) {
+  std::vector<std::string> lost;
+  const Logger::Sink previous = Logger::instance().set_sink([&lost](const LogRecord& record) {
+    if (record.message.find("controller connection lost") != std::string::npos) {
+      lost.push_back(record.component);
+    }
+  });
+  RunSpec spec = quick_flood(VolumetricKind::PacketInFlood, true);
+  spec.attack_start = scenario::kEarliestVolumetricStart;
+  const auto result = scenario::run(spec);
+  Logger::instance().set_sink(previous);
+
+  EXPECT_EQ(lost, std::vector<std::string>{}) << "switches that fell back to standalone";
+  EXPECT_EQ(as_volumetric(result).flood_packets_injected, 8u * 64u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Reachability report: prints the attain:: functions of the library that no
-# non-test binary keeps. Report-only; the exit status says whether the scan
-# ran, not what it found.
+# non-test binary keeps.
 #
-#   tools/unreached_symbols.sh <build-dir>
+#   tools/unreached_symbols.sh <build-dir>            report only
+#   tools/unreached_symbols.sh --check <build-dir>    report, then gate
 #
 # Builds, under <build-dir>, every example and bench binary and the
 # e2e_bench binary at -O0 with one section per function, links them with
@@ -11,6 +11,12 @@
 # those libattain_lib.a defines. A function listed is compiled into the
 # library but dropped by the linker from every binary: nothing outside the
 # tests calls it.
+#
+# Report mode exits 0 whenever the scan ran. Check mode exits 1 when the
+# report lists a function that tools/unreached_symbols.allow does not, so
+# a new function without a production caller fails the build. Allowlist
+# entries the report no longer lists are printed as stale, without
+# failing (a symbol's spelling can differ between compiler versions).
 #
 # Blind spots:
 #  - virtual functions are kept through their vtable whenever the class is
@@ -25,8 +31,13 @@
 # JOBS sets the build parallelism (default 2).
 set -euo pipefail
 
+check=0
+if [[ $# -eq 2 && $1 == --check ]]; then
+  check=1
+  shift
+fi
 if [[ $# -ne 1 ]]; then
-  echo "usage: $0 <build-dir>" >&2
+  echo "usage: $0 [--check] <build-dir>" >&2
   exit 2
 fi
 repo=$(cd "$(dirname "$0")/.." && pwd)
@@ -69,3 +80,33 @@ comm -23 "$out/library.txt" "$out/kept.txt" > "$out/unreached.txt"
 cat "$out/unreached.txt"
 echo "$(wc -l < "$out/unreached.txt") of $(wc -l < "$out/library.txt") attain:: functions" \
   "reach none of ${#binaries[@]} binaries" >&2
+
+if [[ $check -eq 1 ]]; then
+  # The allowlist: blocks separated by blank lines, each a "# reason" line
+  # followed by the symbols it covers, one per line.
+  allow="$repo/tools/unreached_symbols.allow"
+  if ! awk '
+      BEGIN { fresh = 1 }
+      /^[[:space:]]*$/ { fresh = 1; next }
+      fresh && !/^#/ { print FILENAME ":" NR ": symbol block without a # reason line"; bad = 1 }
+      { fresh = 0 }
+      END { exit bad }
+    ' "$allow" >&2; then
+    exit 1
+  fi
+  grep -v -e '^#' -e '^[[:space:]]*$' "$allow" | sort -u > "$out/allowed.txt"
+  comm -23 "$out/unreached.txt" "$out/allowed.txt" > "$out/unlisted.txt"
+  comm -13 "$out/unreached.txt" "$out/allowed.txt" > "$out/stale.txt"
+  if [[ -s "$out/stale.txt" ]]; then
+    echo "allowlisted but no longer reported (remove from $allow):" >&2
+    sed 's/^/  /' "$out/stale.txt" >&2
+  fi
+  if [[ -s "$out/unlisted.txt" ]]; then
+    echo "functions without a production caller and not in $allow:" >&2
+    sed 's/^/  /' "$out/unlisted.txt" >&2
+    echo "delete each, give it a caller in an example, bench or e2e_bench, move it" \
+      "under tests/support/, or list it with a reason" >&2
+    exit 1
+  fi
+  echo "every unreached function is allowlisted" >&2
+fi
